@@ -18,18 +18,13 @@ from .offline import (
     template_from_json,
     template_to_json,
 )
-from .poly import (
-    MultivariatePolynomial,
-    PolynomialSystem,
-    hide_variable,
-)
+from .poly import PolynomialSystem
 from .problems import PROBLEMS, generate_instance, get_problem, original_equations
 from .recover import (
     CandidateSolution,
     SolutionSet,
     SolveError,
-    cramer_ratio,
-    recover_variable,
+    cramer_ratios,
     solve_online,
 )
 from .rootfind import real_candidates, roots
@@ -46,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateSolution",
     "MatrixPolynomial",
-    "MultivariatePolynomial",
     "PROBLEMS",
     "PolynomialSystem",
     "SolutionSet",
@@ -56,7 +50,7 @@ __all__ = [
     "UnivariatePolynomial",
     "batched_eval",
     "build_template",
-    "cramer_ratio",
+    "cramer_ratios",
     "det_complex",
     "det_poly_exact",
     "detect_degree",
@@ -64,11 +58,9 @@ __all__ = [
     "find_deletion_pair",
     "generate_instance",
     "get_problem",
-    "hide_variable",
     "original_equations",
     "real_candidates",
     "recover_coefficients",
-    "recover_variable",
     "roots",
     "sampling_points",
     "select_recovery_pairs",

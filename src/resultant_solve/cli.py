@@ -62,7 +62,7 @@ def _run_trial(template, problem, seed: int, index: int) -> dict:
     start = time.perf_counter()
     try:
         result = solve_online(template, data)
-    except Exception:
+    except SolveError:
         return {"error": True, "time_us": (time.perf_counter() - start) * 1e6}
     elapsed_us = (time.perf_counter() - start) * 1e6
     return {

@@ -60,9 +60,14 @@ class MatrixPolynomial:
         return cls(stack)
 
 
-def evaluate_at(mp: MatrixPolynomial, z: complex) -> np.ndarray:
-    """Entrywise Horner evaluation of the matrix polynomial at z."""
-    result = np.array(mp.stack[-1], dtype=complex)
+def evaluate_at(mp: MatrixPolynomial, z) -> np.ndarray:
+    """Entrywise Horner evaluation of the matrix polynomial at z.
+
+    A scalar z gives one (N, N) matrix; an array of points gives one matrix
+    per point, stacked as (..., N, N).
+    """
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    result = mp.stack[-1] + np.zeros_like(z)
     for a in mp.stack[-2::-1]:
         result = result * z + a
     return result

@@ -1,247 +1,70 @@
-"""Sparse multivariate polynomials and the hidden-variable regrouping.
+"""Dense polynomial equation systems and their residuals.
 
-A polynomial is a canonical list of (coefficient, exponent-tuple) terms over
-named variables.  Exponent tuples have one entry per variable.  Terms are
-merged, zero coefficients dropped, and the list is kept in graded
-lexicographic order, so two constructions of the same polynomial compare
-equal term by term.
-
-``hide_variable`` rewrites a system in n variables as a system in n-1
-variables whose coefficients are univariate polynomials in the hidden
-variable; this is the entry point of the whole solver pipeline.
+A system of m polynomials in n variables is stored as an (m, M) coefficient
+matrix over a shared list of M monomials, given as an (M, n) exponent table.
+Evaluating the system at a stack of points is one monomial table plus one
+matrix product, so the residual of every candidate of a solve comes from a
+single call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ExponentVector = tuple[int, ...]
-
-
-def _canonical_terms(
-    terms: "list[tuple[float, ExponentVector]]", n_vars: int
-) -> tuple[tuple[float, ExponentVector], ...]:
-    merged: dict[ExponentVector, float] = {}
-    for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != n_vars:
-            raise ValueError(
-                f"exponent vector {exps} has length {len(exps)}, expected {n_vars}"
-            )
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        merged[exps] = merged.get(exps, 0.0) + float(coeff)
-    # graded lex, highest first: total degree, then exponent tuple
-    ordered = sorted(merged.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-    return tuple((c, e) for e, c in ordered if c != 0.0)
-
-
-@dataclass(frozen=True)
-class MultivariatePolynomial:
-    """Sparse polynomial in canonical merged form (no zero terms)."""
-
-    terms: tuple[tuple[float, ExponentVector], ...]
-    var_names: tuple[str, ...]
-
-    @classmethod
-    def from_terms(
-        cls,
-        terms: "list[tuple[float, ExponentVector]]",
-        var_names: "tuple[str, ...] | list[str]",
-    ) -> "MultivariatePolynomial":
-        names = tuple(var_names)
-        return cls(_canonical_terms(list(terms), len(names)), names)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_names)
-
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for _, e in self.terms)
-
-    def evaluate(self, point) -> float:
-        """Evaluate at a point (one value per variable)."""
-        point = tuple(point)
-        if len(point) != self.n_vars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.n_vars}"
-            )
-        total = 0.0
-        for coeff, exps in self.terms:
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
-    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        if self.var_names != other.var_names:
-            raise ValueError("variable orderings differ")
-        return MultivariatePolynomial.from_terms(
-            list(self.terms) + list(other.terms), self.var_names
-        )
-
-    def __mul__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        if self.var_names != other.var_names:
-            raise ValueError("variable orderings differ")
-        prods = [
-            (ca * cb, tuple(ea + eb for ea, eb in zip(xa, xb)))
-            for ca, xa in self.terms
-            for cb, xb in other.terms
-        ]
-        return MultivariatePolynomial.from_terms(prods, self.var_names)
-
-    def scaled(self, factor: float) -> "MultivariatePolynomial":
-        return MultivariatePolynomial.from_terms(
-            [(factor * c, e) for c, e in self.terms], self.var_names
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.var_names),
-            "terms": [{"c": c, "e": list(e)} for c, e in self.terms],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MultivariatePolynomial":
-        return cls.from_terms(
-            [(t["c"], tuple(t["e"])) for t in obj["terms"]], tuple(obj["vars"])
-        )
 
 
 @dataclass(frozen=True)
 class PolynomialSystem:
-    """m polynomials over a shared variable ordering, m >= n."""
+    """m polynomials over a shared monomial list, m >= n.
 
-    polynomials: tuple[MultivariatePolynomial, ...]
-    n_vars: int
-    _eval_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    ``coeffs`` is (m, M): row i holds polynomial i's coefficient of every
+    monomial.  ``exponents`` is (M, n): row k is the exponent vector of
+    monomial k.
+    """
+
+    coeffs: np.ndarray
+    exponents: np.ndarray
 
     def __post_init__(self):
-        if len(self.polynomials) < self.n_vars:
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        exponents = np.asarray(self.exponents, dtype=int)
+        if coeffs.ndim != 2 or exponents.ndim != 2:
+            raise ValueError("coeffs and exponents must both be 2-D")
+        if coeffs.shape[1] != exponents.shape[0]:
             raise ValueError(
-                f"need at least as many equations ({len(self.polynomials)}) "
-                f"as unknowns ({self.n_vars})"
+                f"{coeffs.shape[1]} coefficient columns for "
+                f"{exponents.shape[0]} monomials"
             )
-        names = self.polynomials[0].var_names
-        if len(names) != self.n_vars:
-            raise ValueError("variable count does not match polynomials")
-        for p in self.polynomials:
-            if p.var_names != names:
-                raise ValueError("polynomials do not share one variable ordering")
+        if np.any(exponents < 0):
+            raise ValueError("negative exponent in the monomial table")
+        if coeffs.shape[0] < exponents.shape[1]:
+            raise ValueError(
+                f"need at least as many equations ({coeffs.shape[0]}) "
+                f"as unknowns ({exponents.shape[1]})"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
-    def var_names(self) -> tuple[str, ...]:
-        return self.polynomials[0].var_names
+    def n_vars(self) -> int:
+        return self.exponents.shape[1]
 
-    def _flat_arrays(self):
-        # stacked coefficient/exponent arrays for vectorized evaluation
-        if "flat" not in self._eval_cache:
-            coeffs, exps, bounds = [], [], [0]
-            for p in self.polynomials:
-                for c, e in p.terms:
-                    coeffs.append(c)
-                    exps.append(e)
-                bounds.append(len(coeffs))
-            self._eval_cache["flat"] = (
-                np.asarray(coeffs, dtype=float),
-                np.asarray(exps, dtype=float).reshape(len(coeffs), self.n_vars),
-                np.asarray(bounds, dtype=int),
-            )
-        return self._eval_cache["flat"]
+    @property
+    def n_equations(self) -> int:
+        return self.coeffs.shape[0]
 
-    def evaluate_all(self, point) -> np.ndarray:
-        """Values of every polynomial at one point, as a length-m array."""
-        coeffs, exps, bounds = self._flat_arrays()
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.n_vars,):
-            raise ValueError(f"point must have shape ({self.n_vars},)")
-        if coeffs.size == 0:
-            return np.zeros(len(self.polynomials))
-        vals = coeffs * np.prod(point**exps, axis=1)
-        out = np.add.reduceat(np.append(vals, 0.0), bounds[:-1])
-        # reduceat misreports empty segments (zero polynomials in the system)
-        out[np.diff(bounds) == 0] = 0.0
-        return out
+    def evaluate_all(self, points) -> np.ndarray:
+        """Values of every polynomial at each point.
 
-    def max_abs_residual(self, point) -> float:
-        return float(np.max(np.abs(self.evaluate_all(point))))
+        ``points`` is (..., n); the result is (..., m).
+        """
+        points = np.asarray(points)
+        if points.shape[-1:] != (self.n_vars,):
+            raise ValueError(f"points must have shape (..., {self.n_vars})")
+        monomials = np.prod(points[..., None, :] ** self.exponents, axis=-1)
+        return monomials @ self.coeffs.T
 
-
-@dataclass(frozen=True)
-class HiddenPolynomial:
-    """One input polynomial regrouped by monomials of the non-hidden variables.
-
-    ``groups`` maps an exponent tuple over the remaining variables to the
-    coefficient polynomial in the hidden variable (dense, ascending degree).
-    """
-
-    groups: dict[ExponentVector, tuple[float, ...]]
-    hidden_index: int
-    var_names: tuple[str, ...]
-
-    def evaluate(self, hidden_value: float, rest_point) -> float:
-        rest_point = tuple(rest_point)
-        total = 0.0
-        for exps, coeffs in self.groups.items():
-            cval = 0.0
-            for c in reversed(coeffs):
-                cval = cval * hidden_value + c
-            term = cval
-            for x, e in zip(rest_point, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
-
-@dataclass(frozen=True)
-class HiddenSystem:
-    polynomials: tuple[HiddenPolynomial, ...]
-    hidden_index: int
-    var_names: tuple[str, ...]
-
-    def evaluate_merged(self, merged_point) -> list[float]:
-        """Evaluate every polynomial at a point given in the original ordering."""
-        merged_point = tuple(merged_point)
-        v = merged_point[self.hidden_index]
-        rest = merged_point[: self.hidden_index] + merged_point[self.hidden_index + 1 :]
-        return [p.evaluate(v, rest) for p in self.polynomials]
-
-
-def hide_variable(system: PolynomialSystem, hidden_index: int) -> HiddenSystem:
-    """Regroup a system so one variable moves into the coefficient field.
-
-    Each output polynomial is indexed by monomials of the remaining n-1
-    variables, with coefficients that are univariate polynomials in the
-    hidden variable.  Evaluating the output at the merged point reproduces
-    the input evaluation exactly.
-    """
-    if not 0 <= hidden_index < system.n_vars:
-        raise ValueError(
-            f"hidden index {hidden_index} out of range for {system.n_vars} variables"
-        )
-    out = []
-    for p in system.polynomials:
-        groups: dict[ExponentVector, list[float]] = {}
-        for coeff, exps in p.terms:
-            h = exps[hidden_index]
-            rest = exps[:hidden_index] + exps[hidden_index + 1 :]
-            bucket = groups.setdefault(rest, [])
-            if len(bucket) <= h:
-                bucket.extend([0.0] * (h + 1 - len(bucket)))
-            bucket[h] += coeff
-        out.append(
-            HiddenPolynomial(
-                {e: tuple(c) for e, c in groups.items()},
-                hidden_index,
-                system.var_names,
-            )
-        )
-    return HiddenSystem(tuple(out), hidden_index, system.var_names)
+    def max_abs_residual(self, points) -> np.ndarray:
+        """max_i |f_i(x)| for each point of an (..., n) stack, shape (...)."""
+        return np.abs(self.evaluate_all(points)).max(axis=-1)

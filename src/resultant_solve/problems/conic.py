@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..poly import MultivariatePolynomial, PolynomialSystem, hide_variable
+from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 from .sylvester import sylvester_entries, sylvester_matrix_polynomial
 
@@ -47,31 +47,29 @@ class ConicPairData:
             object.__setattr__(self, name, c / norm)
 
 
-def _conic_polynomial(c: np.ndarray) -> MultivariatePolynomial:
-    terms = [
-        (c[0, 0], (2, 0)),
-        (2.0 * c[0, 1], (1, 1)),
-        (c[1, 1], (0, 2)),
-        (2.0 * c[0, 2], (1, 0)),
-        (2.0 * c[1, 2], (0, 1)),
-        (c[2, 2], (0, 0)),
-    ]
-    return MultivariatePolynomial.from_terms(terms, VAR_NAMES)
+# monomials (x^2, x y, y^2, x, y, 1) of the conic rows, over (x, y)
+MONOMIALS = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)])
+
+
+def _conic_row(c: np.ndarray) -> list:
+    return [c[0, 0], 2.0 * c[0, 1], c[1, 1], 2.0 * c[0, 2], 2.0 * c[1, 2], c[2, 2]]
 
 
 def original_equations(data: ConicPairData) -> PolynomialSystem:
-    return PolynomialSystem(
-        (_conic_polynomial(data.c1), _conic_polynomial(data.c2)), 2
-    )
+    return PolynomialSystem([_conic_row(data.c1), _conic_row(data.c2)], MONOMIALS)
+
+
+def _x_coefficients(c: np.ndarray) -> list:
+    """Coefficients of x^2, x, 1 as polynomials in y (ascending)."""
+    return [
+        [c[0, 0]],
+        [2.0 * c[0, 2], 2.0 * c[0, 1]],
+        [c[2, 2], 2.0 * c[1, 2], c[1, 1]],
+    ]
 
 
 def build(data: ConicPairData):
-    hidden = hide_variable(original_equations(data), HIDDEN_INDEX)
-    # per conic: coefficient polynomials in y of x^2, x, 1 (descending)
-    q1, q2 = (
-        [list(hp.groups.get((e,), (0.0,))) for e in (2, 1, 0)]
-        for hp in hidden.polynomials
-    )
+    q1, q2 = _x_coefficients(data.c1), _x_coefficients(data.c2)
     if max(abs(q1[0][0]), abs(q2[0][0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"

@@ -10,12 +10,13 @@ monomial basis (x^3, y^3, x^2 y, x y^2, x^2, y^2, x y, x, y, 1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..matrixpoly import MatrixPolynomial
-from ..poly import MultivariatePolynomial, PolynomialSystem
+from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 
 VAR_NAMES = ("x", "y", "z")
@@ -42,84 +43,66 @@ def _monomials(max_degree: int) -> list:
 
 
 MON1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]  # x, y, z, 1
-MON2 = _monomials(2)
 MON3 = _monomials(3)
-_IDX2 = {e: i for i, e in enumerate(MON2)}
 _IDX3 = {e: i for i, e in enumerate(MON3)}
+_MON3_EXPONENTS = np.array(MON3)
 
-# product index tables: monomial i times monomial j lands in slot table[i, j]
-_T12 = np.array(
-    [[_IDX2[tuple(a + b for a, b in zip(u, v))] for v in MON1] for u in MON1]
-)
-_T23 = np.array(
-    [[_IDX3[tuple(a + b for a, b in zip(u, v))] for v in MON1] for u in MON2]
-)
+
+def _scatter_matrix() -> np.ndarray:
+    """(64, 20) 0/1 matrix from ordered MON1 triples to MON3 slots.
+
+    Every cubic below is a sum over ordered triples (a, b, c) of MON1 slots
+    of a trilinear form in (E_a, E_b, E_c) times MON1[a] MON1[b] MON1[c];
+    row 16a + 4b + c sends the triple's form to the slot of that monomial.
+    """
+    out = np.zeros((64, len(MON3)), dtype=int)
+    for t, triple in enumerate(itertools.product(MON1, repeat=3)):
+        out[t, _IDX3[tuple(map(sum, zip(*triple)))]] = 1
+    return out
+
+
+def _levi_civita() -> np.ndarray:
+    """(3, 9) matrix with (u x v)_i = sum_jk eps[i, 3j + k] u_j v_k."""
+    eps = np.zeros((3, 3, 3), dtype=int)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1, -1
+    return eps.reshape(3, 9)
+
+
+_SCATTER = _scatter_matrix()
+_LEVI_CIVITA = _levi_civita()
 
 # cubic monomial -> (column in BASIS, z power) for the hidden-variable split
 _BASIS_IDX = {e: i for i, e in enumerate(BASIS)}
 _COL_OF_MON3 = np.array([_BASIS_IDX[(a, b)] for a, b, _ in MON3])
 _ZPOW_OF_MON3 = np.array([c for _, _, c in MON3])
+_EQUATIONS = np.arange(10)[:, None]  # one matrix row per cubic
 
 
-def _table_mul(u: np.ndarray, v: np.ndarray, table: np.ndarray, out_len: int):
-    """Multiply two dense monomial-coefficient vectors via an index table.
+def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
+    """The ten cubic constraints as a (10, 20) matrix over the MON3 basis.
 
-    Float inputs take the vectorized path; object (exact integer) inputs
-    fall back to Python accumulation.
+    ``e_basis`` is (4, 3, 3): E_1..E_4, the coefficients of (x, y, z, 1)
+    in E.  Row 0 is det E, whose triple (a, b, c) form is
+    E_a[0] . (E_b[1] x E_c[2]); rows 1..9 are the entries (row-major) of
+    2 E E^T E - tr(E E^T) E, whose triple form is
+    2 E_a E_b^T E_c - tr(E_a E_b^T) E_c.  Works on float arrays and on
+    exact ``object`` arrays of Python ints alike.
     """
-    prod = np.outer(u, v)
-    if prod.dtype == object:
-        out = np.zeros(out_len, dtype=object)
-        for idx, val in zip(table.ravel(), prod.ravel()):
-            out[idx] += val
-        return out
-    return np.bincount(table.ravel(), weights=prod.ravel(), minlength=out_len)
-
-
-def _mul11(u, v):
-    return _table_mul(u, v, _T12, len(MON2))
-
-
-def _mul21(u, v):
-    return _table_mul(u, v, _T23, len(MON3))
-
-
-def constraint_vectors(e_basis: np.ndarray) -> list:
-    """The ten cubic constraints as dense vectors over the MON3 basis.
-
-    ``e_basis`` is (4, 3, 3): the coefficients of (x, y, z, 1) for every
-    entry of E.  Works on float or exact object arrays.
-    """
-    ent = [[np.asarray(e_basis[:, r, c]) for c in range(3)] for r in range(3)]
-
-    def minor(r1, c1, r2, c2):
-        return _mul11(ent[r1][c1], ent[r2][c2]) - _mul11(ent[r1][c2], ent[r2][c1])
-
-    det = (
-        _mul21(minor(1, 1, 2, 2), ent[0][0])
-        - _mul21(minor(1, 0, 2, 2), ent[0][1])
-        + _mul21(minor(1, 0, 2, 1), ent[0][2])
-    )
-
-    gram = [[None] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(r, 3):
-            s = _mul11(ent[r][0], ent[c][0])
-            s = s + _mul11(ent[r][1], ent[c][1])
-            s = s + _mul11(ent[r][2], ent[c][2])
-            gram[r][c] = s
-            gram[c][r] = s
-    tr = gram[0][0] + gram[1][1] + gram[2][2]
-
-    eqs = [det]
-    for r in range(3):
-        for c in range(3):
-            acc = _mul21(2 * gram[r][0], ent[0][c])
-            acc = acc + _mul21(2 * gram[r][1], ent[1][c])
-            acc = acc + _mul21(2 * gram[r][2], ent[2][c])
-            acc = acc - _mul21(tr, ent[r][c])
-            eqs.append(acc)
-    return eqs
+    e = np.asarray(e_basis)
+    rows = e.reshape(12, 3)  # row r of E_a at 3a + r
+    flat = e.reshape(4, 9)
+    # E_b[1] (x) E_c[2] for every (b, c), contracted to cross products
+    outer = (e[:, None, 1, :, None] * e[None, :, 2, None, :]).reshape(16, 9)
+    det = (e[:, 0] @ _LEVI_CIVITA.astype(e.dtype)) @ outer.T  # [a, 4b + c]
+    # (E_a E_b^T)[r, s] at [12a + 4r + b, s], then times E_c[s, col]
+    gram = (rows @ rows.T).reshape(48, 3)
+    eet_e = (gram @ e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
+    eet_e = eet_e.transpose(1, 4, 0, 2, 3).reshape(9, 64)  # [(r, col), triple]
+    trace = flat @ flat.T  # tr(E_a E_b^T)
+    trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
+    forms = np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
+    return forms @ _SCATTER.astype(e.dtype)
 
 
 def _nullspace_basis(data: "FivePointData") -> np.ndarray:
@@ -152,50 +135,31 @@ class FivePointData:
 
 
 def build(data: FivePointData) -> MatrixPolynomial:
-    e_basis = _nullspace_basis(data)
-    eqs = constraint_vectors(e_basis)
     stack = np.zeros((4, 10, 10))
-    for row, eq in enumerate(eqs):
-        stack[_ZPOW_OF_MON3, row, _COL_OF_MON3] = eq
+    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = constraint_vectors(
+        _nullspace_basis(data)
+    )
     return MatrixPolynomial(stack)
 
 
 def modular_matrix(rng: np.random.Generator, p: int):
     """Constraint matrix over Z_p from random residues for the 36 E-basis entries."""
-    from ..offline import ModularPolyMatrix
+    from ..offline import ModularPolyMatrix, _zp_trim
 
     e_basis = np.zeros((4, 3, 3), dtype=object)
     for i in range(4):
         for r in range(3):
             for c in range(3):
                 e_basis[i, r, c] = int(rng.integers(1, p))
-    eqs = constraint_vectors(e_basis)
-    entries = []
-    for eq in eqs:
-        row = [[] for _ in range(10)]
-        for m, val in enumerate(eq):
-            col = _COL_OF_MON3[m]
-            zpow = _ZPOW_OF_MON3[m]
-            coeffs = row[col]
-            if len(coeffs) <= zpow:
-                coeffs.extend([0] * (zpow + 1 - len(coeffs)))
-            coeffs[zpow] = int(val) % p
-        for coeffs in row:
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-        entries.append(row)
-    return ModularPolyMatrix(entries, p)
+    coeffs = np.zeros((10, 10, 4), dtype=object)  # row, column, z power
+    coeffs[_EQUATIONS, _COL_OF_MON3, _ZPOW_OF_MON3] = constraint_vectors(e_basis) % p
+    return ModularPolyMatrix([[_zp_trim(list(e)) for e in row] for row in coeffs], p)
 
 
 def original_equations(data: FivePointData) -> PolynomialSystem:
-    eqs = constraint_vectors(_nullspace_basis(data))
-    polys = tuple(
-        MultivariatePolynomial.from_terms(
-            [(float(c), e) for c, e in zip(eq, MON3)], VAR_NAMES
-        )
-        for eq in eqs
+    return PolynomialSystem(
+        constraint_vectors(_nullspace_basis(data)), _MON3_EXPONENTS
     )
-    return PolynomialSystem(polys, 3)
 
 
 def random_data(rng: np.random.Generator) -> FivePointData:

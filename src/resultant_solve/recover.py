@@ -3,11 +3,15 @@
 One solve executes the whole sampling pipeline: build the matrix
 polynomial, evaluate it at the unit-circle points with one FFT, take the
 batched determinants, recover and trim the determinant coefficients via
-IFFT, root the polynomial through its companion matrix, then back-
-substitute every real candidate root with Cramer-rule determinant ratios
-and keep the candidates whose residual against the original equations is
-small.  No step forms a matrix inverse or solves a linear system through
-one; every quantity is a ratio of determinants.
+IFFT, and root the polynomial through its companion matrix.  Back-
+substitution then runs on all real candidate roots at once: one Horner
+pass evaluates the matrix at every root, and every Cramer-rule ratio of
+every root comes from one batched LU call on a stack of column-replaced
+submatrices.  Only roots whose deletion submatrix is singular retry the
+alternate deletion pairs.  One residual pass against the original
+equations scores all candidates, and the small ones are kept.  No step
+forms a matrix inverse or solves a linear system through one; every
+quantity is a ratio of determinants.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ COORDINATE_IM_TOL = 1e-6
 DUPLICATE_TOL = 1e-7
 SINGULAR_FLOOR = 1e-300
 REAL_SYMMETRY_TOL = 1e-10
-
-
-class SingularSubmatrixError(ArithmeticError):
-    """The deletion submatrix lost rank at a candidate root."""
 
 
 class SolveError(RuntimeError):
@@ -60,59 +60,51 @@ class SolutionSet:
     roots_found: int  # real candidate vectors that reached residual ranking
 
 
-def cramer_ratio(mp_sub: np.ndarray, rhs: np.ndarray, col: int) -> complex:
-    """One Cramer-rule component: det(column-replaced) / det(submatrix).
+def cramer_ratios(
+    m_at_roots: np.ndarray, deletion_pair: tuple, recovery_pairs: dict
+) -> tuple:
+    """Every recovered variable at every root, as Cramer determinant ratios.
 
-    Both determinants go through the pivoted-LU determinant; no inverse is
-    ever formed.
+    ``m_at_roots`` is the (R, N, N) stack of the matrix evaluated at R
+    hidden-variable values.  The deletion pair (i, j) removes row i and
+    column j; the negated column j, without row i, is the right-hand side.
+    Variable w (ascending order of ``recovery_pairs``) is det(replace
+    column j1) / det(replace column j2) for its pair (j1, j2); the shared
+    b_j normalization cancels, so the result does not depend on the deleted
+    column's monomial.  All 2W determinants of all R roots are one batched
+    LU call on an (R, 2W, N-1, N-1) stack.
+
+    Returns (values, singular), both (R, W): the ratios, and whether the
+    denominator fell below SINGULAR_FLOOR (the value is then meaningless).
     """
-    mp_sub = np.asarray(mp_sub)
-    if mp_sub.ndim != 2 or mp_sub.shape[0] != mp_sub.shape[1]:
-        raise ValueError("submatrix must be square")
-    if not 0 <= col < mp_sub.shape[1]:
-        raise ValueError(f"column {col} out of range")
-    denom = det_complex(mp_sub)
-    if abs(denom) < SINGULAR_FLOOR:
-        raise SingularSubmatrixError("submatrix numerically singular")
-    replaced = np.array(mp_sub, dtype=complex, copy=True)
-    replaced[:, col] = rhs
-    return det_complex(replaced) / denom
+    i, j = deletion_pair
+    size = m_at_roots.shape[-1]
+    for pair in recovery_pairs.values():
+        if any(c == j or not 0 <= c < size for c in pair):
+            raise ValueError(f"recovery pair {pair} out of range or deleted")
+    rows = np.delete(np.arange(size), i)
+    cols = np.delete(np.arange(size), j)
+    sub = m_at_roots[:, rows[:, None], cols]
+    rhs = -m_at_roots[:, rows, j]
+    replaced = [c - (c > j) for w in sorted(recovery_pairs) for c in recovery_pairs[w]]
+    stack = np.repeat(sub[:, None], len(replaced), axis=1)
+    stack[:, np.arange(len(replaced)), :, replaced] = rhs
+    dets = det_complex(stack).reshape(len(sub), -1, 2)
+    numer, denom = dets[..., 0], dets[..., 1]
+    singular = np.abs(denom) < SINGULAR_FLOOR
+    return numer / np.where(singular, 1.0, denom), singular
 
 
-def _variable_from_pair(
-    m_at_root: np.ndarray, i: int, j: int, j1: int, j2: int
-) -> complex:
-    sub = np.delete(np.delete(m_at_root, i, axis=0), j, axis=1)
-    rhs = -np.delete(m_at_root[:, j], i)
-    dets = []
-    for idx in (j1, j2):
-        col = idx - 1 if idx > j else idx
-        replaced = np.array(sub, dtype=complex, copy=True)
-        replaced[:, col] = rhs
-        dets.append(det_complex(replaced))
-    if abs(dets[1]) < SINGULAR_FLOOR:
-        raise SingularSubmatrixError("submatrix numerically singular")
-    return dets[0] / dets[1]
+def _first_failure(values: np.ndarray, singular: np.ndarray) -> tuple:
+    """Per root: whether a variable failed, and whether the first was singular.
 
-
-def recover_variable(
-    m_at_root: np.ndarray, template: SolverTemplate, w: int
-) -> complex:
-    """Value of variable w from the ratio of two column-replaced determinants.
-
-    Deletes the template's row/column pair from the evaluated matrix, forms
-    the negated deleted column as right-hand side, and returns
-    det(replace col j1) / det(replace col j2); the shared b_j normalization
-    cancels, so the result does not depend on the deleted column's monomial.
+    Variables are checked in order; the first one that is singular or has
+    a non-real value decides the root's fate.
     """
-    i, j = template.deletion_pair
-    j1, j2 = template.recovery_pairs[w]
-    try:
-        return _variable_from_pair(m_at_root, i, j, j1, j2)
-    except SingularSubmatrixError:
-        raise SingularSubmatrixError(
-            f"submatrix numerically singular recovering variable {w}"
-        ) from None
+    nonreal = np.abs(values.imag) > COORDINATE_IM_TOL * (1.0 + np.abs(values.real))
+    failed = singular | nonreal
+    first = failed.argmax(axis=1)
+    return failed.any(axis=1), singular[np.arange(len(values)), first]
 
 
 def _fallback_deletions(template: SolverTemplate) -> list:
@@ -148,65 +140,57 @@ def _assemble_candidates(
     hidden_values: np.ndarray,
     system,
 ) -> list:
-    primary = (template.deletion_pair, template.recovery_pairs)
+    """Back-substituted candidate vectors with their normalized residuals.
+
+    A root whose first failing variable has a non-real value is discarded.
+    A root whose first failing variable is singular retries the alternate
+    deletion pairs one at a time until one gives real values (kept), hits a
+    non-real value (discarded) or the alternates run out (discarded).
+    """
+    if not len(hidden_values):
+        return []
+    m_at_roots = evaluate_at(mp, hidden_values)
+    values, singular = cramer_ratios(
+        m_at_roots, template.deletion_pair, template.recovery_pairs
+    )
+    failed, retry = _first_failure(values, singular)
+    recovered = [w for w in range(template.n_vars) if w != template.hidden_index]
+    coords = np.empty((len(hidden_values), template.n_vars))
+    coords[:, template.hidden_index] = hidden_values
+    coords[:, recovered] = values.real
+    keep = ~failed
     fallback: list | None = None  # built only if the template pair degenerates
-    out = []
-    for v in hidden_values:
-        m_at_root = evaluate_at(mp, complex(v))
-        vec = None
-        discarded = False
-        option_index = -1
-        while True:
-            if option_index < 0:
-                (i, j), pairs = primary
-            else:
-                if fallback is None:
-                    fallback = _fallback_deletions(template)
-                if option_index >= len(fallback):
-                    break
-                (i, j), pairs = fallback[option_index]
-            option_index += 1
-            trial = np.empty(template.n_vars)
-            ok = True
-            for w in range(template.n_vars):
-                if w == template.hidden_index:
-                    trial[w] = v
-                    continue
-                try:
-                    val = _variable_from_pair(m_at_root, i, j, *pairs[w])
-                except SingularSubmatrixError:
-                    ok = False  # try the next deletion pair
-                    break
-                if abs(val.imag) > COORDINATE_IM_TOL * (1.0 + abs(val.real)):
-                    ok = False
-                    discarded = True  # non-real coordinate: candidate is dead
-                    break
-                trial[w] = val.real
-            if discarded:
+    for root in np.flatnonzero(retry):
+        if fallback is None:
+            fallback = _fallback_deletions(template)
+        for pair, pairs in fallback:
+            values, singular = cramer_ratios(m_at_roots[root : root + 1], pair, pairs)
+            (bad,), (again,) = _first_failure(values, singular)
+            if not bad:
+                coords[root, recovered] = values[0].real
+                keep[root] = True
+            if not (bad and again):
                 break
-            if ok:
-                vec = trial
-                break
-        if vec is None:
-            continue
-        norm = float(np.linalg.norm(vec))
-        residual = system.max_abs_residual(vec) / (norm if norm > 0.0 else 1.0)
-        out.append(CandidateSolution(vec, float(residual)))
-    return out
+    vecs = coords[keep]
+    if not len(vecs):
+        return []
+    norms = np.linalg.norm(vecs, axis=1)
+    residuals = system.max_abs_residual(vecs) / np.where(norms > 0.0, norms, 1.0)
+    return [CandidateSolution(x, float(res)) for x, res in zip(vecs, residuals)]
 
 
 def _deduplicate(candidates: list) -> list:
     """Merge near-identical vectors, keeping the lower residual."""
+    if not candidates:
+        return []
+    x = np.array([c.x for c in candidates])  # already sorted by residual
+    scale = 1.0 + np.abs(x).max(axis=1)
+    close = np.abs(x[:, None] - x[None]).max(axis=-1) < DUPLICATE_TOL * scale[:, None]
     kept: list = []
-    for cand in candidates:  # already sorted by residual
-        scale = 1.0 + float(np.max(np.abs(cand.x)))
-        if any(
-            np.max(np.abs(cand.x - other.x)) < DUPLICATE_TOL * scale
-            for other in kept
-        ):
-            continue
-        kept.append(cand)
-    return kept
+    for k, near in enumerate(close.tolist()):
+        if not any(near[other] for other in kept):
+            kept.append(k)
+    return [candidates[k] for k in kept]
 
 
 def solve_online(

@@ -20,7 +20,7 @@ from resultant_solve.matrixpoly import (
     evaluate_at,
 )
 from resultant_solve.problems import get_problem
-from resultant_solve.recover import solve_online
+from resultant_solve.recover import SolveError, solve_online
 from resultant_solve.rootfind import roots
 from resultant_solve.spectral import (
     UnivariatePolynomial,
@@ -65,7 +65,7 @@ def test_criterion_2_five_point_stability(five_point_template):
         data, gts = problem.generate_instance(np.random.default_rng([21, i]))
         try:
             result = solve_online(five_point_template, data)
-        except Exception:
+        except SolveError:
             failures += 1
             continue
         if result.failed:

@@ -149,6 +149,27 @@ class TestBench:
         assert code == 0
         assert seen["jobs"] == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solve_errors_count_and_other_errors_propagate(self, monkeypatch, jobs):
+        # a SolveError is a failed trial; any other exception is a bug and
+        # must reach the caller, also through the thread pool
+        calls = []
+
+        def failing(template, data):
+            calls.append(1)
+            raise cli.SolveError("degenerate instance: test")
+
+        monkeypatch.setattr(cli, "solve_online", failing)
+        report, _ = cli.run_bench("conic", 4, 0, jobs)
+        assert report.fail_percent == 100.0 and len(calls) == 4
+
+        def broken(template, data):
+            raise ZeroDivisionError("bug in a trial")
+
+        monkeypatch.setattr(cli, "solve_online", broken)
+        with pytest.raises(ZeroDivisionError, match="bug in a trial"):
+            cli.run_bench("conic", 4, 0, jobs)
+
     def test_histogram_counts_sum(self, capsys, tmp_path):
         hist = tmp_path / "hist.csv"
         code, out, _ = _run(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import equation_oracles
 from resultant_solve.matrixpoly import MatrixPolynomial, det_poly_exact
 from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
@@ -347,21 +348,16 @@ class TestSolutionCountOracles:
         for seed in (0, 1, 2):
             data, gts = problem.generate_instance(np.random.default_rng(seed))
             system = problem.original_equations(data)
-            f1, f2 = system.polynomials
+            exps = system.exponents
 
             def value_and_jacobian(pt):
-                x, y = pt
-                f = system.evaluate_all(pt)
+                # d/dx_k x^e = e_k x^(e - unit_k), from the dense exponent table
                 jac = np.empty((2, 2))
-                for r, poly in enumerate((f1, f2)):
-                    gx = gy = 0.0
-                    for c, (ex, ey) in poly.terms:
-                        if ex:
-                            gx += c * ex * x ** (ex - 1) * y**ey
-                        if ey:
-                            gy += c * ey * x**ex * y ** (ey - 1)
-                    jac[r] = (gx, gy)
-                return f, jac
+                for k in range(2):
+                    lowered = np.maximum(exps - np.eye(2, dtype=int)[k], 0)
+                    monomials = exps[:, k] * np.prod(pt**lowered, axis=1)
+                    jac[:, k] = system.coeffs @ monomials
+                return equation_oracles.conic_values(data, pt), jac
 
             found = []
             grid = np.linspace(-1.5, 1.5, 25)
@@ -376,7 +372,7 @@ class TestSolutionCountOracles:
                         pt = pt - step
                         if np.max(np.abs(step)) < 1e-14:
                             break
-                    if np.max(np.abs(system.evaluate_all(pt))) < 1e-10:
+                    if np.max(np.abs(equation_oracles.conic_values(data, pt))) < 1e-10:
                         if not any(np.max(np.abs(pt - q)) < 1e-6 for q in found):
                             found.append(pt)
             assert len(found) == 4
@@ -388,7 +384,7 @@ class TestSolutionCountOracles:
         # every complex root of the determinant polynomial solves the
         # original system: no extraneous factor, so r = k for both problems
         from resultant_solve.matrixpoly import det_complex, evaluate_at
-        from resultant_solve.recover import _variable_from_pair
+        from resultant_solve.recover import cramer_ratios
         from resultant_solve.rootfind import roots
         from resultant_solve.spectral import (
             UnivariatePolynomial,
@@ -399,20 +395,21 @@ class TestSolutionCountOracles:
 
         problem = get_problem(pid)
         template = build_template(problem, 7)
-        i, j = template.deletion_pair
         for seed in (0, 1, 2):
             data, _ = problem.generate_instance(np.random.default_rng([71, seed]))
             mp = problem.build(data)
             samples = det_complex(batched_eval(mp, template.k))
             det_poly = trim(UnivariatePolynomial(recover_coefficients(samples).coeffs))
             assert det_poly.degree == template.k
-            system = problem.original_equations(data)
-            for root in roots(det_poly):
-                m = evaluate_at(mp, root)
+            hidden = roots(det_poly)
+            values, _ = cramer_ratios(
+                evaluate_at(mp, hidden), template.deletion_pair, template.recovery_pairs
+            )
+            for root, recovered in zip(hidden, values):
                 point = [0j] * problem.n_vars
                 point[problem.hidden_index] = root
-                for w, pair in template.recovery_pairs.items():
-                    point[w] = _variable_from_pair(m, i, j, *pair)
-                residual = max(abs(p.evaluate(point)) for p in system.polynomials)
+                for w, val in zip(sorted(template.recovery_pairs), recovered):
+                    point[w] = val
+                residual = np.max(np.abs(equation_oracles.values(pid, data, point)))
                 norm = np.linalg.norm(point)
                 assert residual / max(norm, 1.0) < 1e-6

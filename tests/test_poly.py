@@ -1,177 +1,128 @@
 import numpy as np
 import pytest
 
-from resultant_solve.poly import (
-    MultivariatePolynomial,
-    PolynomialSystem,
-    hide_variable,
-)
+from resultant_solve.poly import PolynomialSystem
+
+EXPS2 = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))  # x1^2 .. 1
 
 
-def _poly(terms, names=("x1", "x2")):
-    return MultivariatePolynomial.from_terms(terms, names)
+def _system(rows, exponents=EXPS2):
+    return PolynomialSystem(np.atleast_2d(rows), exponents)
 
 
-def _random_poly(rng, n_vars, max_degree=3, n_terms=8, names=None):
-    names = names or tuple(f"x{i+1}" for i in range(n_vars))
-    terms = []
-    for _ in range(n_terms):
-        exps = rng.integers(0, max_degree + 1, size=n_vars)
-        while exps.sum() > max_degree:
-            exps = rng.integers(0, max_degree + 1, size=n_vars)
-        terms.append((float(rng.standard_normal()), tuple(int(e) for e in exps)))
-    return MultivariatePolynomial.from_terms(terms, names)
+def _random_system(rng, m, n_vars, max_degree=3, n_monomials=8):
+    exps = []
+    while len(exps) < n_monomials:
+        e = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=n_vars))
+        if sum(e) <= max_degree:
+            exps.append(e)
+    return PolynomialSystem(rng.standard_normal((m, n_monomials)), exps)
+
+
+def _reference_eval(system, point):
+    """Term-by-term scalar loop over the coefficient and exponent tables."""
+    out = []
+    for row in system.coeffs:
+        total = 0.0
+        for c, exps in zip(row, system.exponents):
+            term = c
+            for x, e in zip(point, exps):
+                term *= x**e
+            total += term
+        out.append(total)
+    return np.array(out)
 
 
 class TestEvaluate:
     def test_all_monomials_vanish(self):
-        p = _poly([(1.0, (2, 0)), (2.0, (0, 1))])  # x1^2 + 2 x2
-        assert p.evaluate((0.0, 0.0)) == 0.0
+        # x1^2 + 2 x2 (twice, to meet m >= n) at the origin
+        system = _system([[1.0, 0, 0, 0, 2.0, 0]] * 2)
+        assert np.all(system.evaluate_all([0.0, 0.0]) == 0.0)
 
     def test_simple_point(self):
-        p = _poly([(1.0, (2, 0)), (2.0, (0, 1))])
-        assert p.evaluate((3.0, 1.0)) == pytest.approx(11.0, abs=0)
+        system = _system([[1.0, 0, 0, 0, 2.0, 0]] * 2)
+        assert system.evaluate_all([3.0, 1.0]).tolist() == [11.0, 11.0]
 
     def test_product_identity(self):
-        p = _poly([(1.0, (1, 1)), (-1.0, (0, 0))])  # x1 x2 - 1
-        assert p.evaluate((2.0, 0.5)) == pytest.approx(0.0, abs=0)
+        system = _system([[0, 1.0, 0, 0, 0, -1.0]] * 2)  # x1 x2 - 1
+        assert np.all(system.evaluate_all([2.0, 0.5]) == 0.0)
 
     def test_dimension_mismatch(self):
-        p = _poly([(1.0, (1, 0))])
+        system = _system([[1.0, 0, 0, 0, 0, 0]] * 2)
         with pytest.raises(ValueError):
-            p.evaluate((1.0, 2.0, 3.0))
+            system.evaluate_all((1.0, 2.0, 3.0))
 
 
 class TestCanonicalForm:
     def test_permuted_term_lists_agree(self):
-        terms = [(2.0, (1, 0)), (-1.0, (0, 2)), (0.5, (1, 1)), (3.0, (0, 0))]
-        a = _poly(terms)
-        b = _poly(terms[::-1])
-        assert a.terms == b.terms
+        # permuting the monomial list together with the coefficient columns
+        # does not change any value
+        rng = np.random.default_rng(0)
+        system = _random_system(rng, 3, 2)
+        perm = rng.permutation(len(system.exponents))
+        permuted = PolynomialSystem(system.coeffs[:, perm], system.exponents[perm])
+        for _ in range(10):
+            pt = rng.uniform(-2, 2, size=2)
+            assert np.allclose(
+                system.evaluate_all(pt), permuted.evaluate_all(pt), rtol=1e-14, atol=0
+            )
 
     def test_merging_and_zero_drop(self):
-        p = _poly([(1.0, (1, 0)), (2.0, (1, 0)), (-3.0, (1, 0)), (4.0, (0, 1))])
-        assert p.terms == ((4.0, (0, 1)),)
+        # a monomial listed several times contributes the sum of its columns
+        system = PolynomialSystem(
+            [[1.0, 2.0, -3.0, 4.0], [0.0, 0.0, 0.0, 4.0]],
+            [(1, 0), (1, 0), (1, 0), (0, 1)],
+        )
+        for pt in ([3.0, 5.0], [-1.5, 0.25]):
+            got = system.evaluate_all(pt)
+            assert got[0] == got[1] == 4.0 * pt[1]
 
     def test_zero_polynomial_is_empty(self):
-        p = _poly([(1.0, (1, 1)), (-1.0, (1, 1))])
-        assert p.terms == ()
-        assert p.evaluate((5.0, 6.0)) == 0.0
+        system = _system([[0.0] * 6, [1.0, 0, 0, 0, 0, 0]])
+        assert system.evaluate_all([5.0, 6.0]).tolist() == [0.0, 25.0]
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            _poly([(1.0, (-1, 0))])
+            PolynomialSystem([[1.0], [1.0]], [(-1, 0)])
 
 
 class TestArithmetic:
     def test_evaluation_homomorphism(self):
+        # evaluation is linear in the coefficient rows
         rng = np.random.default_rng(0)
         for _ in range(30):
-            p = _random_poly(rng, 2)
-            q = _random_poly(rng, 2)
+            p = _random_system(rng, 2, 2)
+            q = PolynomialSystem(rng.standard_normal(p.coeffs.shape), p.exponents)
+            both = PolynomialSystem(p.coeffs + 2.5 * q.coeffs, p.exponents)
             x = rng.uniform(-2, 2, size=2)
-            scale = max(1.0, abs(p.evaluate(x)) + abs(q.evaluate(x)))
-            assert (p + q).evaluate(x) == pytest.approx(
-                p.evaluate(x) + q.evaluate(x), rel=1e-12, abs=1e-12 * scale
-            )
-            assert (p * q).evaluate(x) == pytest.approx(
-                p.evaluate(x) * q.evaluate(x), rel=1e-12, abs=1e-12 * scale**2
-            )
-
-    def test_mixed_variable_orderings_rejected(self):
-        p = _poly([(1.0, (1, 0))], names=("x", "y"))
-        q = _poly([(1.0, (1, 0))], names=("y", "x"))
-        with pytest.raises(ValueError):
-            p + q
-
-
-class TestJson:
-    def test_round_trip(self):
-        p = _poly([(2.0, (1, 0)), (-0.5, (0, 3))])
-        obj = p.to_json_dict()
-        assert obj["vars"] == ["x1", "x2"]
-        assert {"c": 2.0, "e": [1, 0]} in obj["terms"]
-        assert MultivariatePolynomial.from_json_dict(obj) == p
+            want = p.evaluate_all(x) + 2.5 * q.evaluate_all(x)
+            scale = max(1.0, np.abs(p.evaluate_all(x)).max(), np.abs(q.evaluate_all(x)).max())
+            assert np.allclose(both.evaluate_all(x), want, rtol=0, atol=1e-12 * scale)
 
 
 class TestSystem:
     def test_requires_enough_equations(self):
-        p = _poly([(1.0, (1, 0))])
         with pytest.raises(ValueError):
-            PolynomialSystem((p,), 2)
+            _system([[1.0, 0, 0, 0, 0, 0]])
 
     def test_shared_ordering_required(self):
-        p = _poly([(1.0, (1, 0))], names=("x", "y"))
-        q = _poly([(1.0, (1, 0))], names=("u", "v"))
+        # every row is over the one monomial list: the shapes must agree
         with pytest.raises(ValueError):
-            PolynomialSystem((p, q), 2)
+            PolynomialSystem(np.ones((2, 5)), EXPS2)
 
     def test_evaluate_all_matches_scalar_eval(self):
         rng = np.random.default_rng(1)
-        polys = tuple(_random_poly(rng, 3, names=("x", "y", "z")) for _ in range(4))
-        system = PolynomialSystem(polys, 3)
-        for _ in range(20):
-            pt = rng.uniform(-1.5, 1.5, size=3)
-            vals = system.evaluate_all(pt)
-            expected = [p.evaluate(pt) for p in polys]
+        system = _random_system(rng, 4, 3)
+        points = rng.uniform(-1.5, 1.5, size=(20, 3))
+        stacked = system.evaluate_all(points)
+        residuals = system.max_abs_residual(points)
+        assert stacked.shape == (20, 4) and residuals.shape == (20,)
+        for pt, vals, res in zip(points, stacked, residuals):
+            expected = _reference_eval(system, pt)
+            assert np.allclose(system.evaluate_all(pt), expected, rtol=1e-13, atol=1e-13)
             assert np.allclose(vals, expected, rtol=1e-13, atol=1e-13)
-            assert system.max_abs_residual(pt) == pytest.approx(
-                max(abs(v) for v in expected)
-            )
+            assert res == pytest.approx(max(abs(v) for v in expected))
 
     def test_evaluate_all_with_zero_polynomial(self):
-        zero = _poly([], names=("x", "y"))
-        p = _poly([(1.0, (1, 0))], names=("x", "y"))
-        system = PolynomialSystem((p, zero), 2)
+        system = _system([[0, 0, 0, 1.0, 0, 0], [0.0] * 6])
         assert np.allclose(system.evaluate_all([3.0, 4.0]), [3.0, 0.0])
-
-
-class TestHideVariable:
-    def test_regroups_coefficients(self):
-        # x1^2 x2 + x2 + 1, hiding x1: coefficient of x2 is x1^2 + 1
-        p = _poly([(1.0, (2, 1)), (1.0, (0, 1)), (1.0, (0, 0))])
-        hidden = hide_variable(PolynomialSystem((p, p), 2), 0)
-        groups = hidden.polynomials[0].groups
-        assert groups[(1,)] == (1.0, 0.0, 1.0)
-        assert groups[(0,)] == (1.0,)
-
-    def test_hide_middle_variable(self):
-        p = MultivariatePolynomial.from_terms(
-            [(1.0, (1, 0, 0)), (1.0, (0, 1, 0)), (1.0, (0, 0, 1))],
-            ("x1", "x2", "x3"),
-        )
-        hidden = hide_variable(PolynomialSystem((p, p, p), 3), 1)
-        groups = hidden.polynomials[0].groups
-        assert groups[(0, 0)] == (0.0, 1.0)  # the x2 part
-        assert groups[(1, 0)] == (1.0,)
-        assert groups[(0, 1)] == (1.0,)
-
-    def test_index_out_of_range(self):
-        p = _poly([(1.0, (1, 0))])
-        with pytest.raises(ValueError):
-            hide_variable(PolynomialSystem((p, p), 2), 2)
-
-    def test_evaluation_round_trip(self):
-        # hiding any variable must not change the evaluated values
-        rng = np.random.default_rng(2)
-        polys = tuple(_random_poly(rng, 3, names=("x", "y", "z")) for _ in range(3))
-        system = PolynomialSystem(polys, 3)
-        for hidden_index in range(3):
-            hidden = hide_variable(system, hidden_index)
-            for _ in range(100):
-                pt = rng.uniform(-2, 2, size=3)
-                got = hidden.evaluate_merged(pt)
-                want = [p.evaluate(pt) for p in polys]
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_term_count_preserved_up_to_regrouping(self):
-        p = _poly([(1.0, (2, 1)), (1.0, (0, 1)), (1.0, (0, 0))])
-        hidden = hide_variable(PolynomialSystem((p, p), 2), 0)
-        n_coeffs = sum(
-            1
-            for hp in hidden.polynomials[:1]
-            for coeffs in hp.groups.values()
-            for c in coeffs
-            if c != 0.0
-        )
-        assert n_coeffs == len(p.terms)

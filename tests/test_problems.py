@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import equation_oracles
 from resultant_solve.matrixpoly import evaluate_at
 from resultant_solve.problems import (
     DegenerateDataError,
+    five_point,
     generate_instance,
     get_problem,
     original_equations,
@@ -50,10 +54,9 @@ class TestConic:
         rng = np.random.default_rng(1)
         data = problem.random_data(rng)
         mp = problem.build(data)
-        system = problem.original_equations(data)
         for _ in range(20):
             x, y = rng.uniform(-2, 2, size=2)
-            f1, f2 = system.evaluate_all([x, y])
+            f1, f2 = equation_oracles.conic_values(data, (x, y))
             want = np.array([x * f1, f1, x * f2, f2])
             got = evaluate_at(mp, y) @ _basis_values(problem, (x, y))
             scale = max(1.0, np.abs(want).max())
@@ -125,13 +128,30 @@ class TestFivePoint:
         rng = np.random.default_rng(1)
         data = problem.random_data(rng)
         mp = problem.build(data)
-        system = problem.original_equations(data)
         for _ in range(20):
             pt = rng.uniform(-2, 2, size=3)
-            want = system.evaluate_all(pt)
+            want = equation_oracles.values("five_point", data, pt)
             got = evaluate_at(mp, pt[2]) @ _basis_values(problem, pt)
             scale = max(1.0, np.abs(want).max())
             assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+    def test_exact_constraints_match_oracle(self):
+        # on Python ints the constraint matrix is exact: its cubics agree
+        # with the oracle on the 4x4x4 grid, which pins down every cubic
+        rng = np.random.default_rng(12)
+        e_basis = np.array(
+            [int(v) for v in rng.integers(-2**31, 2**31, size=36)], dtype=object
+        ).reshape(4, 3, 3)
+        matrix = five_point.constraint_vectors(e_basis)
+        assert matrix.shape == (10, 20)
+        assert all(type(c) is int for c in matrix.ravel())
+        for pt in itertools.product((-1, 0, 1, 2), repeat=3):
+            monomials = np.array(
+                [pt[0] ** a * pt[1] ** b * pt[2] ** c for a, b, c in five_point.MON3],
+                dtype=object,
+            )
+            want = equation_oracles.five_point_values(e_basis, pt)
+            assert list(matrix @ monomials) == list(want)
 
     def test_ground_truth_satisfies_matrix_form(self):
         problem = get_problem("five_point")
@@ -192,8 +212,21 @@ class TestSharedProperties:
         five_data, _ = generate_instance("five_point", 0)
         conic_sys = original_equations("conic", conic_data)
         five_sys = original_equations("five_point", five_data)
-        assert (len(conic_sys.polynomials), conic_sys.n_vars) == (2, 2)
-        assert (len(five_sys.polynomials), five_sys.n_vars) == (10, 3)
+        assert (conic_sys.n_equations, conic_sys.n_vars) == (2, 2)
+        assert (five_sys.n_equations, five_sys.n_vars) == (10, 3)
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_dense_system_matches_oracle(self, pid):
+        problem = get_problem(pid)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            data = problem.random_data(rng)
+            points = rng.uniform(-2, 2, size=(20, problem.n_vars))
+            got = problem.original_equations(data).evaluate_all(points)
+            for pt, vals in zip(points, got):
+                want = equation_oracles.values(pid, data, pt)
+                scale = max(1.0, np.abs(want).max())
+                assert np.max(np.abs(vals - want)) < 1e-12 * scale
 
     def test_solution_count_ceiling(self, conic_template, five_point_template):
         for template, pid in ((conic_template, "conic"), (five_point_template, "five_point")):

@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
+import equation_oracles
+from resultant_solve import recover
+from resultant_solve.matrixpoly import MatrixPolynomial, evaluate_at
 from resultant_solve.offline import SolverTemplate
+from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
 from resultant_solve.recover import (
-    SingularSubmatrixError,
     SolveError,
-    cramer_ratio,
-    recover_variable,
+    cramer_ratios,
     solution_set_to_json,
     solve_online,
+)
+from resultant_solve.rootfind import real_candidates, roots
+from resultant_solve.spectral import (
+    UnivariatePolynomial,
+    batched_eval,
+    recover_coefficients,
+    trim,
 )
 
 
@@ -41,33 +50,90 @@ def _matrix_with_null_vector(rng, b):
             return m.astype(complex)
 
 
+def _reference_ratios(m, deletion_pair, recovery_pairs):
+    """Per-root, per-variable Cramer ratios with one det per call."""
+    i, j = deletion_pair
+    sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
+    rhs = -np.delete(m[:, j], i)
+    out = []
+    for w in sorted(recovery_pairs):
+        dets = []
+        for idx in recovery_pairs[w]:
+            replaced = sub.copy()
+            replaced[:, idx - 1 if idx > j else idx] = rhs
+            dets.append(np.linalg.det(replaced))
+        out.append(dets[0] / dets[1])
+    return np.array(out)
+
+
+def _real_hidden_roots(mp, template):
+    samples = recover.det_complex(batched_eval(mp, template.k))
+    poly = trim(UnivariatePolynomial(recover_coefficients(samples).coeffs.real))
+    return real_candidates(roots(poly))
+
+
 class TestCramerRatio:
     def test_identity(self):
-        assert cramer_ratio(np.eye(2, dtype=complex), np.array([5.0, 7.0]), 0) == (
-            pytest.approx(5.0)
-        )
+        # the deletion submatrix is the identity, so the reduced solution is
+        # the right-hand side -(a, b) and the ratio is a / b
+        m = np.array([[1.0, 1.0, 1.0], [5.0, 1.0, 0.0], [7.0, 0.0, 1.0]])
+        values, singular = cramer_ratios(m[None].astype(complex), (0, 0), {1: (1, 2)})
+        assert values[0, 0] == pytest.approx(5.0 / 7.0)
+        assert not singular.any()
 
     def test_diagonal(self):
-        m = np.diag([2.0, 4.0]).astype(complex)
-        assert cramer_ratio(m, np.array([2.0, 8.0]), 1) == pytest.approx(2.0)
+        m = np.array([[1.0, 1.0, 1.0], [-2.0, 2.0, 0.0], [-8.0, 0.0, 4.0]])
+        values, _ = cramer_ratios(m[None].astype(complex), (0, 0), {1: (1, 2)})
+        assert values[0, 0] == pytest.approx(0.5)  # (2/2) / (8/4)
 
     def test_matches_linear_solve_oracle(self):
+        # the ratio of two components of the reduced system's solution
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            oracle = np.linalg.solve(m, rhs)
-            for col in (0, 3, 7):
-                got = cramer_ratio(m, rhs, col)
-                assert abs(got - oracle[col]) < 1e-10 * max(1.0, abs(oracle[col]))
+        pairs = {0: (0, 3), 1: (7, 2), 3: (5, 6)}
+        m = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))
+        values, singular = cramer_ratios(m, (4, 1), pairs)
+        assert values.shape == singular.shape == (6, 3) and not singular.any()
+        for got, mat in zip(values, m):
+            sub = np.delete(np.delete(mat, 4, axis=0), 1, axis=1)
+            y = np.linalg.solve(sub, -np.delete(mat[:, 1], 4))
+            for val, (j1, j2) in zip(got, pairs.values()):
+                want = y[j1 - (j1 > 1)] / y[j2 - (j2 > 1)]
+                assert abs(val - want) < 1e-10 * max(1.0, abs(want))
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularSubmatrixError):
-            cramer_ratio(np.zeros((2, 2), dtype=complex), np.ones(2), 0)
+        m = np.zeros((2, 3, 3), dtype=complex)
+        m[1] = np.eye(3)
+        m[1, 1:, 0] = 1.0
+        _, singular = cramer_ratios(m, (0, 0), {1: (1, 2)})
+        assert singular.tolist() == [[True], [False]]
 
     def test_column_range_checked(self):
-        with pytest.raises(ValueError):
-            cramer_ratio(np.eye(2, dtype=complex), np.ones(2), 5)
+        m = np.eye(3, dtype=complex)[None]
+        for pairs in ({1: (1, 5)}, {1: (0, 2)}):  # out of range; deleted column
+            with pytest.raises(ValueError):
+                cramer_ratios(m, (0, 0), pairs)
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_stack_matches_per_root_reference(self, pid, request):
+        # one batched call over all real roots of 50 instances agrees with a
+        # loop of scalar determinants, root by root and variable by variable
+        template = request.getfixturevalue(f"{pid}_template")
+        problem = get_problem(pid)
+        checked = 0
+        for seed in range(50):
+            data, _ = problem.generate_instance(np.random.default_rng([61, seed]))
+            mp = problem.build(data)
+            hidden = _real_hidden_roots(mp, template)
+            stack = evaluate_at(mp, hidden)
+            values, singular = cramer_ratios(
+                stack, template.deletion_pair, template.recovery_pairs
+            )
+            assert not singular.any()
+            for got, m in zip(values, stack):
+                want = _reference_ratios(m, template.deletion_pair, template.recovery_pairs)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+                checked += 1
+        assert checked >= 150
 
 
 class TestRecoverVariable:
@@ -75,26 +141,133 @@ class TestRecoverVariable:
         # null vector (9, 3, 1) encodes v = 3
         rng = np.random.default_rng(1)
         m = _matrix_with_null_vector(rng, np.array([9.0, 3.0, 1.0]))
-        got = recover_variable(m, _toy_template(), 1)
-        assert got == pytest.approx(3.0, abs=1e-10)
+        template = _toy_template()
+        values, _ = cramer_ratios(m[None], template.deletion_pair, template.recovery_pairs)
+        assert values[0, 0] == pytest.approx(3.0, abs=1e-10)
 
     def test_zero_coordinate(self):
         # null vector (0, 0, 1) encodes v = 0: numerator determinant vanishes
         rng = np.random.default_rng(2)
         m = _matrix_with_null_vector(rng, np.array([0.0, 0.0, 1.0]))
-        got = recover_variable(m, _toy_template(), 1)
-        assert got == pytest.approx(0.0, abs=1e-10)
+        template = _toy_template()
+        values, _ = cramer_ratios(m[None], template.deletion_pair, template.recovery_pairs)
+        assert values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_conic_instance_coordinates(self, conic_template):
         problem = get_problem("conic")
         data, gts = problem.generate_instance(np.random.default_rng(3))
         mp = problem.build(data)
-        from resultant_solve.matrixpoly import evaluate_at
-
-        for gt in gts:
-            m = evaluate_at(mp, gt[1])  # hidden variable is y
-            got = recover_variable(m, conic_template, 0)
+        stack = evaluate_at(mp, [gt[1] for gt in gts])  # hidden variable is y
+        values, singular = cramer_ratios(
+            stack, conic_template.deletion_pair, conic_template.recovery_pairs
+        )
+        assert not singular.any()
+        for got, gt in zip(values[:, 0], gts):
             assert abs(got - gt[0]) < 1e-8
+
+
+class TestBackSubstitution:
+    """Which roots take the fallback deletion pairs, and which are dropped."""
+
+    @staticmethod
+    def _spy_dets(monkeypatch):
+        shapes = []
+        real = recover.det_complex
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return real(m)
+
+        monkeypatch.setattr(recover, "det_complex", spy)
+        return shapes
+
+    def test_only_the_singular_root_takes_the_fallback(self, monkeypatch):
+        # at v = 0 rows 1 and 2 of M are parallel, so the template pair's
+        # submatrix is singular there; v = 1 is generic.  Null vectors:
+        # (4, 2, 1) at v = 0 (u = 2) and (9, 3, 1) at v = 1 (u = 3).
+        m0 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
+        m1 = _matrix_with_null_vector(np.random.default_rng(5), np.array([9.0, 3.0, 1.0]))
+        mp = MatrixPolynomial(np.stack([m0, m1.real - m0]))
+        system = PolynomialSystem([[1.0, 0.0], [0.0, 1.0]], [(1, 0), (0, 1)])
+        shapes = self._spy_dets(monkeypatch)
+        found = recover._assemble_candidates(
+            mp, _toy_template(), np.array([0.0, 1.0]), system
+        )
+        # both roots, one variable, num + den; then v = 0 alone tries the
+        # alternates (0, 2) (singular again: rows 1 and 2 stay) and (1, 0)
+        assert shapes == [(2, 2, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2)]
+        assert [c.x[0] for c in found] == [0.0, 1.0]
+        assert found[0].x[1] == pytest.approx(2.0, abs=1e-12)
+        assert found[1].x[1] == pytest.approx(3.0, abs=1e-10)
+
+    @staticmethod
+    def _fake_ratios(monkeypatch, primary):
+        calls = []
+
+        def fake(m_at_roots, deletion_pair, recovery_pairs):
+            calls.append(deletion_pair)
+            if deletion_pair == (0, 3):
+                return primary
+            return np.array([[2.0 + 0j, 3.0 + 0j]]), np.array([[False, False]])
+
+        monkeypatch.setattr(recover, "cramer_ratios", fake)
+        return calls
+
+    def _three_var_candidates(self):
+        template = SolverTemplate(
+            problem_id="toy3",
+            n_vars=3,
+            hidden_index=0,
+            size=4,
+            basis=((1, 0), (0, 1), (0, 0), (1, 1)),
+            k=1,
+            r=1,
+            deletion_pair=(0, 3),
+            recovery_pairs={1: (0, 2), 2: (1, 2)},
+        )
+        mp = MatrixPolynomial(np.eye(4)[None])
+        system = PolynomialSystem(np.eye(3), np.eye(3, dtype=int))
+        return recover._assemble_candidates(mp, template, np.array([0.5]), system)
+
+    def test_non_real_then_singular_is_discarded(self, monkeypatch):
+        calls = self._fake_ratios(
+            monkeypatch, (np.array([[1.0 + 1.0j, 0j]]), np.array([[False, True]]))
+        )
+        assert self._three_var_candidates() == []
+        assert calls == [(0, 3)]  # no fallback pair was tried
+
+    def test_singular_then_non_real_takes_the_fallback(self, monkeypatch):
+        calls = self._fake_ratios(
+            monkeypatch, (np.array([[0j, 1.0 + 1.0j]]), np.array([[True, False]]))
+        )
+        (cand,) = self._three_var_candidates()
+        assert cand.x.tolist() == [0.5, 2.0, 3.0]
+        assert calls[0] == (0, 3) and len(calls) == 2
+
+
+class TestDeduplicate:
+    def test_matches_pairwise_reference_loop(self):
+        def reference(candidates):
+            kept = []
+            for cand in candidates:
+                scale = 1.0 + float(np.max(np.abs(cand.x)))
+                if any(
+                    np.max(np.abs(cand.x - other.x)) < recover.DUPLICATE_TOL * scale
+                    for other in kept
+                ):
+                    continue
+                kept.append(cand)
+            return kept
+
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            base = rng.standard_normal((int(rng.integers(1, 6)), 3))
+            picks = rng.integers(0, len(base), size=int(rng.integers(0, 9)))
+            jitter = rng.choice([0.0, 1e-9, 1e-7, 1e-5], size=(len(picks), 1))
+            xs = base[picks] + jitter * rng.standard_normal((len(picks), 3))
+            cands = [recover.CandidateSolution(x, float(k)) for k, x in enumerate(xs)]
+            kept = [c.residual for c in recover._deduplicate(cands)]
+            assert kept == [c.residual for c in reference(cands)]
 
 
 class TestSolveOnline:
@@ -119,10 +292,10 @@ class TestSolveOnline:
         # reported residuals must match an independent recomputation
         problem = get_problem("five_point")
         data, _ = problem.generate_instance(np.random.default_rng(4))
-        system = problem.original_equations(data)
         result = solve_online(five_point_template, data)
         for cand in result.accepted:
-            independent = system.max_abs_residual(cand.x) / np.linalg.norm(cand.x)
+            values = equation_oracles.values("five_point", data, cand.x)
+            independent = np.max(np.abs(values)) / np.linalg.norm(cand.x)
             assert independent <= 1e-3
             assert independent == pytest.approx(cand.residual, rel=1e-9)
 
