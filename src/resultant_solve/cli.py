@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -168,11 +167,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    jobs = args.jobs
-    env_jobs = os.environ.get("RESULTANT_SOLVE_THREADS")
-    if env_jobs:
-        jobs = int(env_jobs)
-    report, counts = run_bench(args.problem, args.trials, args.seed, jobs)
+    report, counts = run_bench(args.problem, args.trials, args.seed, args.jobs)
     print(CSV_HEADER)
     print(report.csv_row())
     if args.hist:

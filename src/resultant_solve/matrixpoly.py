@@ -9,9 +9,10 @@ Two determinant routines live here:
 * ``det_complex`` — floating-point determinant via pivoted LU (LAPACK),
   used by the online sampling pipeline, batched over matrix stacks.
 * ``det_poly_exact`` — exact integer-coefficient determinant polynomial,
-  used only by tests and the offline stage.  It is computed either by
-  exact evaluation/interpolation or by fraction-free Bareiss elimination
-  over the integer polynomial ring; the two must agree.
+  the reference that tests check the sampling pipeline and the offline
+  stage's Z_p determinants against.  It is computed either by exact
+  evaluation/interpolation or by fraction-free Bareiss elimination over
+  the integer polynomial ring; the two must agree.
 """
 
 from __future__ import annotations
@@ -46,19 +47,6 @@ class MatrixPolynomial:
     def entry_degree(self) -> int:
         return self.stack.shape[0] - 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.size,
-            "d": self.entry_degree,
-            "stack": [a.ravel().tolist() for a in self.stack],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MatrixPolynomial":
-        n = obj["N"]
-        stack = np.array(obj["stack"], dtype=float).reshape(obj["d"] + 1, n, n)
-        return cls(stack)
-
 
 def evaluate_at(mp: MatrixPolynomial, z) -> np.ndarray:
     """Entrywise Horner evaluation of the matrix polynomial at z.
@@ -86,7 +74,7 @@ def det_complex(m: np.ndarray):
     return complex(d) if m.ndim == 2 else d
 
 
-# --- exact integer-polynomial arithmetic (oracle / offline only) ------------
+# --- exact integer-polynomial arithmetic (test oracle) ----------------------
 #
 # A univariate integer polynomial is a list of Python ints, ascending degree,
 # with no trailing zeros ([] is the zero polynomial).

@@ -1,12 +1,15 @@
 """Once-per-problem template construction.
 
-Everything here runs rarely and must be deterministic and exact:
+Everything here runs rarely and must be deterministic and exact.  The
+problem matrix is instantiated twice over Z_p (random data residues,
+distinct primes, hidden variable kept symbolic), and both stages read
+those two specializations:
 
-* the determinant degree k is measured numerically over several random
-  data draws,
+* the determinant degree k is the common degree of their exact
+  determinants,
 * the row/column deletion pair is validated by an exact coprimality test
-  in Z_p[x] (random data residues, hidden variable kept symbolic): the
-  full determinant and the deleted-pair minor must have a constant GCD,
+  in Z_p[x]: the full determinant and the deleted-pair minor must have a
+  constant GCD,
 * recovery index pairs are chosen from the monomial basis,
 
 and the results are frozen into a JSON-serializable SolverTemplate that
@@ -21,13 +24,10 @@ which bounds the false-accept probability below ~deg^2/p^2.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .matrixpoly import det_complex
-from .spectral import batched_eval, recover_coefficients, trim
 
 SPECIALIZATION_PRIMES = (2147483647, 2147483629)
 
@@ -76,13 +76,6 @@ def _zp_gcd(a: list, b: list, p: int) -> list:
     return a
 
 
-def _zp_eval(a: list, t: int, p: int) -> int:
-    v = 0
-    for c in reversed(a):
-        v = (v * t + c) % p
-    return v
-
-
 def _zp_det_scalar(m: list, p: int) -> int:
     """Determinant of a square matrix of residues, Gaussian elimination."""
     a = [row[:] for row in m]
@@ -126,48 +119,32 @@ def _zp_interpolate(points: list, values: list, p: int) -> list:
     return _zp_trim(coeffs)
 
 
-@dataclass
-class ModularPolyMatrix:
-    """Square matrix of Z_p[x] entries (coefficient lists, ascending)."""
+def det_modular(stack: np.ndarray, p: int) -> list:
+    """Exact determinant polynomial of a Z_p matrix polynomial.
 
-    entries: list
-    p: int
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def entry_degree(self) -> int:
-        return max(
-            (len(e) - 1 for row in self.entries for e in row if e), default=0
-        )
-
-    def minor(self, i: int, j: int) -> "ModularPolyMatrix":
-        sub = [
-            [e for c, e in enumerate(row) if c != j]
-            for r, row in enumerate(self.entries)
-            if r != i
-        ]
-        return ModularPolyMatrix(sub, self.p)
-
-
-def det_modular(mm: ModularPolyMatrix) -> list:
-    """Exact determinant polynomial of a ModularPolyMatrix.
-
-    Mirrors the online pipeline structurally: evaluate the matrix at
-    enough distinct field points, take scalar determinants, interpolate.
+    ``stack`` is the (d+1, N, N) coefficient stack of ``MatrixPolynomial``
+    as an ``object`` array of Python ints in [0, p).  Mirrors the online
+    pipeline structurally: evaluate the matrix at enough distinct field
+    points (matrix Horner), take scalar determinants, interpolate.
     """
-    n = mm.size
-    bound = n * mm.entry_degree
-    if bound + 1 > mm.p:
+    while len(stack) > 1 and not stack[-1].any():
+        stack = stack[:-1]  # a minor may lose its top degree
+    bound = stack.shape[1] * (stack.shape[0] - 1)
+    if bound + 1 > p:
         raise ValueError("field too small for interpolation")
     points = list(range(bound + 1))
     values = []
     for t in points:
-        scalar = [[_zp_eval(e, t, mm.p) for e in row] for row in mm.entries]
-        values.append(_zp_det_scalar(scalar, mm.p))
-    return _zp_interpolate(points, values, mm.p)
+        scalar = stack[-1]
+        for a in stack[-2::-1]:
+            scalar = (scalar * t + a) % p
+        values.append(_zp_det_scalar(scalar.tolist(), p))
+    return _zp_interpolate(points, values, p)
+
+
+def _minor(stack: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The stack with row i and column j deleted."""
+    return np.delete(np.delete(stack, i, axis=1), j, axis=2)
 
 
 # --- template construction ---------------------------------------------------
@@ -188,12 +165,30 @@ class SolverTemplate:
     recovery_pairs: dict
 
     def __post_init__(self):
+        numbers = [self.n_vars, self.hidden_index, self.size, self.k, self.r]
+        numbers += self.deletion_pair
+        for pair in self.recovery_pairs.values():
+            numbers += pair
+        if not all(isinstance(v, int) for v in numbers):
+            raise ValueError("template sizes and indices must be integers")
         if not self.k >= self.r >= 1:
             raise ValueError(f"need k >= r >= 1, got k={self.k}, r={self.r}")
+        if len(self.basis) != self.size:
+            raise ValueError(f"basis has {len(self.basis)} monomials, need N={self.size}")
+        if not 0 <= self.hidden_index < self.n_vars:
+            raise ValueError(f"hidden index {self.hidden_index} out of range")
         i, j = self.deletion_pair
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise ValueError(f"deletion pair {self.deletion_pair} out of range")
+        recovered = set(range(self.n_vars)) - {self.hidden_index}
+        if set(self.recovery_pairs) != recovered:
+            raise ValueError(
+                f"recovery pairs cover variables {sorted(self.recovery_pairs)}, "
+                f"need {sorted(recovered)}"
+            )
         for w, (j1, j2) in self.recovery_pairs.items():
+            if not (0 <= j1 < self.size and 0 <= j2 < self.size):
+                raise ValueError(f"recovery pair for variable {w} out of range")
             if j1 == j or j2 == j:
                 raise ValueError(f"recovery pair for variable {w} hits deleted column")
             diff = tuple(a - b for a, b in zip(self.basis[j1], self.basis[j2]))
@@ -229,52 +224,73 @@ def template_to_json(template: SolverTemplate) -> str:
 
 def template_from_json(text: str) -> SolverTemplate:
     obj = json.loads(text)
-    return SolverTemplate(
-        problem_id=obj["problem"],
-        n_vars=obj["n_vars"],
-        hidden_index=obj["hidden"],
-        size=obj["N"],
-        basis=tuple(tuple(e) for e in obj["basis"]),
-        k=obj["k"],
-        r=obj["r"],
-        deletion_pair=tuple(obj["deletion"]),
-        recovery_pairs={int(w): tuple(p) for w, p in obj["recovery"].items()},
-    )
-
-
-def detect_degree(problem, trials: int, rng_seed: int) -> int:
-    """Degree of the determinant polynomial, measured over random data.
-
-    Each trial builds the matrix from fresh random data, samples its
-    determinant at N*d+1 unit-circle points, recovers and trims the
-    coefficients.  The degree is the maximum over trials, which must also
-    be the majority value (degenerate draws can only lose degree).
-    """
-    if trials < 3:
-        raise ValueError("need at least 3 trials")
-    children = np.random.SeedSequence(rng_seed).spawn(trials)
-    degrees = []
-    for child in children:
-        data = problem.random_data(np.random.default_rng(child))
-        mp = problem.build(data)
-        k_sample = mp.size * mp.entry_degree
-        samples = det_complex(batched_eval(mp, k_sample))
-        degrees.append(trim(recover_coefficients(samples)).degree)
-    k = max(degrees)
-    if 2 * Counter(degrees)[k] <= trials:
-        raise TemplateError(
-            f"degenerate template: trimmed degrees {degrees} have no majority at {k}"
+    try:
+        return SolverTemplate(
+            problem_id=obj["problem"],
+            n_vars=obj["n_vars"],
+            hidden_index=obj["hidden"],
+            size=obj["N"],
+            basis=tuple(tuple(e) for e in obj["basis"]),
+            k=obj["k"],
+            r=obj["r"],
+            deletion_pair=tuple(obj["deletion"]),
+            recovery_pairs={int(w): tuple(p) for w, p in obj["recovery"].items()},
         )
-    return k
+    except KeyError as exc:
+        raise ValueError(f"template lacks key {exc}") from None
+    except TypeError as exc:  # a list for the object, a string for a number
+        raise ValueError(f"malformed template: {exc}") from None
 
 
-def find_deletion_pair(problem, rng_seed: int) -> tuple[int, int]:
+class Specialization(NamedTuple):
+    """One exact instance of a problem matrix over Z_p."""
+
+    stack: np.ndarray  # (d+1, N, N) object array of residues
+    p: int
+    det: list  # its determinant in Z_p[x], ascending, non-constant
+
+
+def specialize(problem, rng_seed: int) -> list:
+    """Two independent specializations, one per prime in SPECIALIZATION_PRIMES.
+
+    Each draws fresh residues through ``problem.modular_matrix`` until the
+    determinant is non-constant (at most 20 draws).
+    """
+    children = np.random.SeedSequence(rng_seed).spawn(2)
+    specializations = []
+    for child, prime in zip(children, SPECIALIZATION_PRIMES):
+        rng = np.random.default_rng(child)
+        for _ in range(20):
+            stack = problem.modular_matrix(rng, prime)
+            full_det = det_modular(stack, prime)
+            if len(full_det) >= 2:
+                break
+        else:
+            raise TemplateError("degenerate template: modular determinant is constant")
+        specializations.append(Specialization(stack, prime, full_det))
+    return specializations
+
+
+def detect_degree(specializations: list) -> int:
+    """Degree k of the determinant polynomial, read from the exact determinants.
+
+    A random specialization can only lose degree (its leading coefficient
+    vanishes mod p with probability about 1/p), so the specializations
+    must agree.
+    """
+    degrees = [len(s.det) - 1 for s in specializations]
+    if len(set(degrees)) != 1:
+        raise TemplateError(
+            f"degenerate template: specializations disagree on the degree {degrees}"
+        )
+    return degrees[0]
+
+
+def find_deletion_pair(basis, specializations: list) -> tuple[int, int]:
     """First row/column pair in scan order passing the coprimality test.
 
-    For each of two independent specializations (fresh residues, distinct
-    primes) the matrix is instantiated over Z_p with the hidden variable
-    symbolic.  A pair is accepted when gcd(det M, det minor) is constant
-    in both.
+    A pair is accepted when gcd(det M, det minor) is constant in every
+    specialization.
 
     Columns are scanned by ascending total degree of their basis monomial
     (rows ascending within a column): the deleted column's monomial divides
@@ -282,32 +298,18 @@ def find_deletion_pair(problem, rng_seed: int) -> tuple[int, int]:
     solution, so low-degree columns give far better-conditioned submatrices
     at the roots than an index-order scan.
     """
-    children = np.random.SeedSequence(rng_seed).spawn(2)
-    specializations = []
-    for child, prime in zip(children, SPECIALIZATION_PRIMES):
-        rng = np.random.default_rng(child)
-        for _ in range(20):
-            mm = problem.modular_matrix(rng, prime)
-            full_det = det_modular(mm)
-            if len(full_det) >= 2:
-                break
-        else:
-            raise TemplateError("degenerate template: modular determinant is constant")
-        specializations.append((mm, full_det))
-
-    n = specializations[0][0].size
-    columns = sorted(range(n), key=lambda j: (sum(problem.basis[j]), j))
+    n = len(basis)
+    columns = sorted(range(n), key=lambda j: (sum(basis[j]), j))
     for j in columns:
         for i in range(n):
-            ok = True
-            for mm, full_det in specializations:
-                minor_det = det_modular(mm.minor(i, j))
-                if not minor_det or len(_zp_gcd(full_det, minor_det, mm.p)) != 1:
-                    ok = False
-                    break
-            if ok:
+            if all(_coprime_minor(s, i, j) for s in specializations):
                 return (i, j)
     raise TemplateError("no valid deletion pair")
+
+
+def _coprime_minor(spec: Specialization, i: int, j: int) -> bool:
+    minor_det = det_modular(_minor(spec.stack, i, j), spec.p)
+    return bool(minor_det) and len(_zp_gcd(spec.det, minor_det, spec.p)) == 1
 
 
 def select_recovery_pairs(
@@ -344,10 +346,11 @@ def select_recovery_pairs(
     return pairs
 
 
-def build_template(problem, rng_seed: int, trials: int = 8) -> SolverTemplate:
+def build_template(problem, rng_seed: int) -> SolverTemplate:
     """Run the full offline stage for one problem."""
-    k = detect_degree(problem, trials, rng_seed)
-    deletion = find_deletion_pair(problem, rng_seed)
+    specializations = specialize(problem, rng_seed)
+    k = detect_degree(specializations)
+    deletion = find_deletion_pair(problem.basis, specializations)
     recovery = select_recovery_pairs(
         problem.basis, deletion[1], problem.n_vars, problem.hidden_index
     )

@@ -16,18 +16,17 @@ class Problem:
 
     ``basis`` lists the column monomials as exponent tuples over the
     non-hidden variables (original variable order with the hidden one
-    removed).
+    removed).  ``modular_matrix(rng, p)`` returns a random instance of the
+    matrix over Z_p as a (d+1, N, N) ``object`` stack of Python ints.
     """
 
     problem_id: str
     n_vars: int
     hidden_index: int
-    var_names: tuple
     basis: tuple
     expected_solutions: int
     build: Callable
     modular_matrix: Callable
-    random_data: Callable
     generate_instance: Callable
     original_equations: Callable
     data_to_json: Callable

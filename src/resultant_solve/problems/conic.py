@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..matrixpoly import MatrixPolynomial
 from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
-from .sylvester import sylvester_entries, sylvester_matrix_polynomial
+from .sylvester import sylvester_stack
 
-VAR_NAMES = ("x", "y")
 HIDDEN_INDEX = 1  # y is hidden; x is eliminated by the Sylvester matrix
 BASIS = ((3,), (2,), (1,), (0,))
 EXPECTED_SOLUTIONS = 4
@@ -59,41 +59,46 @@ def original_equations(data: ConicPairData) -> PolynomialSystem:
     return PolynomialSystem([_conic_row(data.c1), _conic_row(data.c2)], MONOMIALS)
 
 
-def _x_coefficients(c: np.ndarray) -> list:
-    """Coefficients of x^2, x, 1 as polynomials in y (ascending)."""
-    return [
-        [c[0, 0]],
-        [2.0 * c[0, 2], 2.0 * c[0, 1]],
-        [c[2, 2], 2.0 * c[1, 2], c[1, 1]],
-    ]
+def _x_coefficients(c: np.ndarray) -> np.ndarray:
+    """Coefficients of x^2, x, 1 (rows) as polynomials in y (ascending).
+
+    Reads the upper triangle of ``c`` only.
+    """
+    return np.array(
+        [
+            [c[0, 0], 0, 0],
+            [2 * c[0, 2], 2 * c[0, 1], 0],
+            [c[2, 2], 2 * c[1, 2], c[1, 1]],
+        ],
+        dtype=c.dtype,
+    )
 
 
-def build(data: ConicPairData):
-    q1, q2 = _x_coefficients(data.c1), _x_coefficients(data.c2)
-    if max(abs(q1[0][0]), abs(q2[0][0])) < LEADING_TOL:
+def matrix_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """(3, 4, 4) coefficient stack of M(y) for two 3x3 conic matrices.
+
+    Ring-agnostic: floats give the online matrix, Python ints in an
+    ``object`` array give the exact one; the stack keeps their dtype.
+    """
+    return sylvester_stack(_x_coefficients(c1), _x_coefficients(c2))
+
+
+def build(data: ConicPairData) -> MatrixPolynomial:
+    if max(abs(data.c1[0, 0]), abs(data.c2[0, 0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"
         )
-    return sylvester_matrix_polynomial(q1, q2)
+    return MatrixPolynomial(matrix_stack(data.c1, data.c2))
 
 
-def modular_matrix(rng: np.random.Generator, p: int):
-    """Sylvester matrix over Z_p with fresh residues for the 12 conic coefficients."""
-    from ..offline import ModularPolyMatrix
+def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
+    """M(y) over Z_p from fresh residues for the 12 conic coefficients.
 
-    quads = []
-    for _ in range(2):
-        a, b, c, d, e, f = (int(v) for v in rng.integers(1, p, size=6))
-        quads.append([[a], [2 * d % p, 2 * b % p], [f, 2 * e % p, c]])
-    entries = sylvester_entries(quads[0], quads[1])
-    entries = [[[v % p for v in e] for e in row] for row in entries]
-    return ModularPolyMatrix(entries, p)
-
-
-def random_data(rng: np.random.Generator) -> ConicPairData:
-    m1 = rng.standard_normal((3, 3))
-    m2 = rng.standard_normal((3, 3))
-    return ConicPairData((m1 + m1.T) / 2, (m2 + m2.T) / 2)
+    Only the upper triangles are read, so two random 3x3 residue matrices
+    stand for two generic symmetric conics.
+    """
+    c1, c2 = rng.integers(1, p, size=(2, 3, 3)).astype(object)
+    return matrix_stack(c1, c2) % p
 
 
 def _conics_through(points: np.ndarray, rng: np.random.Generator) -> tuple:
@@ -148,9 +153,13 @@ def data_to_json(data: ConicPairData) -> dict:
 
 
 def data_from_json(obj: dict) -> ConicPairData:
+    try:
+        c1, c2 = obj["C1"], obj["C2"]
+    except (KeyError, TypeError):
+        raise ValueError("conic data must be an object with keys C1, C2") from None
     return ConicPairData(
-        np.array(obj["C1"], dtype=float).reshape(3, 3),
-        np.array(obj["C2"], dtype=float).reshape(3, 3),
+        np.array(c1, dtype=float).reshape(3, 3),
+        np.array(c2, dtype=float).reshape(3, 3),
     )
 
 
@@ -158,12 +167,10 @@ PROBLEM = Problem(
     problem_id="conic",
     n_vars=2,
     hidden_index=HIDDEN_INDEX,
-    var_names=VAR_NAMES,
     basis=BASIS,
     expected_solutions=EXPECTED_SOLUTIONS,
     build=build,
     modular_matrix=modular_matrix,
-    random_data=random_data,
     generate_instance=generate_instance,
     original_equations=original_equations,
     data_to_json=data_to_json,

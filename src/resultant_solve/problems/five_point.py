@@ -19,7 +19,6 @@ from ..matrixpoly import MatrixPolynomial
 from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 
-VAR_NAMES = ("x", "y", "z")
 HIDDEN_INDEX = 2
 BASIS = (
     (3, 0), (0, 3), (2, 1), (1, 2), (2, 0),
@@ -134,37 +133,30 @@ class FivePointData:
             object.__setattr__(self, name, pts / norms[:, None])
 
 
+def matrix_stack(e_basis: np.ndarray) -> np.ndarray:
+    """(4, 10, 10) coefficient stack of M(z) for a (4, 3, 3) E-basis.
+
+    Ring-agnostic like ``constraint_vectors``: the stack keeps the dtype
+    of ``e_basis``.
+    """
+    e = np.asarray(e_basis)
+    stack = np.zeros((4, 10, 10), dtype=e.dtype)
+    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = constraint_vectors(e)
+    return stack
+
+
 def build(data: FivePointData) -> MatrixPolynomial:
-    stack = np.zeros((4, 10, 10))
-    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = constraint_vectors(
-        _nullspace_basis(data)
-    )
-    return MatrixPolynomial(stack)
+    return MatrixPolynomial(matrix_stack(_nullspace_basis(data)))
 
 
-def modular_matrix(rng: np.random.Generator, p: int):
-    """Constraint matrix over Z_p from random residues for the 36 E-basis entries."""
-    from ..offline import ModularPolyMatrix, _zp_trim
-
-    e_basis = np.zeros((4, 3, 3), dtype=object)
-    for i in range(4):
-        for r in range(3):
-            for c in range(3):
-                e_basis[i, r, c] = int(rng.integers(1, p))
-    coeffs = np.zeros((10, 10, 4), dtype=object)  # row, column, z power
-    coeffs[_EQUATIONS, _COL_OF_MON3, _ZPOW_OF_MON3] = constraint_vectors(e_basis) % p
-    return ModularPolyMatrix([[_zp_trim(list(e)) for e in row] for row in coeffs], p)
+def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
+    """M(z) over Z_p from random residues for the 36 E-basis entries."""
+    return matrix_stack(rng.integers(1, p, size=(4, 3, 3)).astype(object)) % p
 
 
 def original_equations(data: FivePointData) -> PolynomialSystem:
     return PolynomialSystem(
         constraint_vectors(_nullspace_basis(data)), _MON3_EXPONENTS
-    )
-
-
-def random_data(rng: np.random.Generator) -> FivePointData:
-    return FivePointData(
-        rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     )
 
 
@@ -221,21 +213,23 @@ def data_to_json(data: FivePointData) -> dict:
 
 
 def data_from_json(obj: dict) -> FivePointData:
-    return FivePointData(
-        np.array(obj["pts_a"], dtype=float), np.array(obj["pts_b"], dtype=float)
-    )
+    try:
+        pts_a, pts_b = obj["pts_a"], obj["pts_b"]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "five_point data must be an object with keys pts_a, pts_b"
+        ) from None
+    return FivePointData(np.array(pts_a, dtype=float), np.array(pts_b, dtype=float))
 
 
 PROBLEM = Problem(
     problem_id="five_point",
     n_vars=3,
     hidden_index=HIDDEN_INDEX,
-    var_names=VAR_NAMES,
     basis=BASIS,
     expected_solutions=EXPECTED_SOLUTIONS,
     build=build,
     modular_matrix=modular_matrix,
-    random_data=random_data,
     generate_instance=generate_instance,
     original_equations=original_equations,
     data_to_json=data_to_json,

@@ -194,11 +194,7 @@ def _deduplicate(candidates: list) -> list:
 
 
 def solve_online(
-    template: SolverTemplate,
-    data,
-    *,
-    im_tol: float = DEFAULT_IM_TOL,
-    rank_check: bool = False,
+    template: SolverTemplate, data, *, rank_check: bool = False
 ) -> SolutionSet:
     """Run the full online stage for one instance.
 
@@ -230,7 +226,7 @@ def solve_online(
         raise SolveError("degenerate instance: determinant degree collapsed")
 
     all_roots = roots(det_poly)
-    hidden_values = real_candidates(all_roots, im_tol)
+    hidden_values = real_candidates(all_roots, DEFAULT_IM_TOL)
     system = problem.original_equations(data)
     candidates = _assemble_candidates(mp, template, hidden_values, system)
     candidates.sort(key=lambda c: (c.residual, tuple(c.x)))

@@ -102,6 +102,61 @@ class TestSolve:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize("drop", ["C1", "C2", None])
+    def test_conic_data_missing_key_exits_1(self, capsys, tmp_path, conic_files, drop):
+        tpl, datafile, _ = conic_files
+        obj = json.loads(datafile.read_text())
+        if drop is None:
+            obj = list(obj.values())  # an array, not an object
+        else:
+            del obj[drop]
+        datafile.write_text(json.dumps(obj))
+        code, _, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
+        assert code == 1
+        assert err.startswith("error:") and "C2" in err
+
+    def test_five_point_data_missing_key_exits_1(
+        self, capsys, tmp_path, five_point_template
+    ):
+        tpl = tmp_path / "fp.tpl.json"
+        tpl.write_text(template_to_json(five_point_template))
+        datafile = tmp_path / "instance.json"
+        datafile.write_text(json.dumps({"pts_a": [[0.0, 0.0, 1.0]] * 5}))
+        code, _, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
+        assert code == 1
+        assert err.startswith("error:") and "pts_b" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("recovery", {"0": [7, 5]}),  # past the 4-column basis
+            ("recovery", {"0": [-4, -3]}),  # would wrap around
+            ("recovery", {"1": [1, 2]}),  # the hidden variable
+            ("recovery", {}),  # x left unrecovered
+            ("basis", [[3], [2], [1]]),  # N = 4 columns, 3 monomials
+            ("hidden", 2),  # only 2 variables
+            ("deletion", [0, -1]),
+            ("k", "4"),  # a string for a number
+            ("k", 4.5),
+            ("deletion", [0.0, 3.0]),
+            ("k", None),  # key missing
+            (None, None),  # an array, not an object
+        ],
+    )
+    def test_malformed_template_exits_1(self, capsys, conic_files, key, value):
+        tpl, datafile, _ = conic_files
+        obj = json.loads(tpl.read_text())
+        if key is None:
+            obj = list(obj.values())
+        elif value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        tpl.write_text(json.dumps(obj))
+        code, _, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
+        assert code == 1
+        assert err.startswith("error:")
+
 
 class TestBench:
     def test_csv_deterministic(self, capsys):
@@ -134,20 +189,6 @@ class TestBench:
             return header, f[:5] + f[6:]
 
         assert strip_time(seq) == strip_time(par)
-
-    def test_env_override_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESULTANT_SOLVE_THREADS", "2")
-        seen = {}
-        real = cli.run_bench
-
-        def spy(problem_id, trials, seed, jobs):
-            seen["jobs"] = jobs
-            return real(problem_id, trials, seed, jobs)
-
-        monkeypatch.setattr(cli, "run_bench", spy)
-        code, _, _ = _run(capsys, ["bench", "conic", "--trials", "2", "--seed", "0"])
-        assert code == 0
-        assert seen["jobs"] == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_solve_errors_count_and_other_errors_propagate(self, monkeypatch, jobs):

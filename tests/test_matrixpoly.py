@@ -57,14 +57,6 @@ class TestMatrixPolynomial:
         with pytest.raises(ValueError):
             MatrixPolynomial(np.zeros((2, 3, 4)))
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(0)
-        mp = MatrixPolynomial(rng.standard_normal((3, 4, 4)))
-        obj = mp.to_json_dict()
-        assert obj["N"] == 4 and obj["d"] == 2
-        back = MatrixPolynomial.from_json_dict(obj)
-        assert np.array_equal(back.stack, mp.stack)
-
 
 class TestEvaluateAt:
     def test_swap_matrix_at_i(self):

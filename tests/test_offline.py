@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +8,20 @@ import equation_oracles
 from resultant_solve.matrixpoly import MatrixPolynomial, det_poly_exact
 from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
-    ModularPolyMatrix,
     SolverTemplate,
     TemplateError,
+    _minor,
     _zp_gcd,
     build_template,
     det_modular,
     detect_degree,
     find_deletion_pair,
     select_recovery_pairs,
+    specialize,
     template_from_json,
     template_to_json,
 )
-from resultant_solve.problems import get_problem
+from resultant_solve.problems import conic, five_point, get_problem
 
 
 # --- exact rational GCD oracle ----------------------------------------------
@@ -52,38 +54,28 @@ def _exact_gcd_degree(a, b):
     return len(a) - 1 if a else -1
 
 
-def _to_modular(mp: MatrixPolynomial, p: int) -> ModularPolyMatrix:
-    entries = []
-    for r in range(mp.size):
-        row = []
-        for c in range(mp.size):
-            coeffs = [int(round(mp.stack[l, r, c])) % p for l in range(mp.entry_degree + 1)]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            row.append(coeffs)
-        entries.append(row)
-    return ModularPolyMatrix(entries, p)
+def _to_modular(stack, p):
+    """Integer-valued coefficient stack as Python-int residues mod p."""
+    return np.rint(stack).astype(int).astype(object) % p
 
 
 class _ToyBuilder:
-    """Minimal problem stand-in: a fixed matrix polynomial for every draw."""
+    """Minimal problem stand-in: a fixed integer stack for every draw."""
 
     def __init__(self, stack, basis=None, n_vars=2, hidden_index=0, r=1):
-        self._mp = MatrixPolynomial(np.asarray(stack, dtype=float))
+        self._stack = np.asarray(stack, dtype=float)
         self.problem_id = "toy"
         self.n_vars = n_vars
         self.hidden_index = hidden_index
-        self.basis = basis or tuple((i,) for i in range(self._mp.size - 1, -1, -1))
+        self.basis = basis or tuple((i,) for i in range(self._stack.shape[1] - 1, -1, -1))
         self.expected_solutions = r
 
-    def random_data(self, rng):
-        return None
-
-    def build(self, data):
-        return self._mp
-
     def modular_matrix(self, rng, p):
-        return _to_modular(self._mp, p)
+        return _to_modular(self._stack, p)
+
+
+def _deletion(builder, seed=0):
+    return find_deletion_pair(builder.basis, specialize(builder, seed))
 
 
 def _diag_x_stack(n):
@@ -115,9 +107,9 @@ class TestModularArithmetic:
         for prime in SPECIALIZATION_PRIMES:
             for _ in range(5):
                 n, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
-                mp = MatrixPolynomial(rng.integers(-5, 6, size=(d + 1, n, n)).astype(float))
-                exact = det_poly_exact(mp)
-                got = det_modular(_to_modular(mp, prime))
+                stack = rng.integers(-5, 6, size=(d + 1, n, n))
+                exact = det_poly_exact(MatrixPolynomial(stack.astype(float)))
+                got = det_modular(_to_modular(stack, prime), prime)
                 want = [c % prime for c in exact]
                 while want and want[-1] == 0:
                     want.pop()
@@ -127,57 +119,42 @@ class TestModularArithmetic:
 class TestDetectDegree:
     def test_toy_diagonal(self):
         builder = _ToyBuilder(_diag_x_stack(3))
-        assert detect_degree(builder, 3, 0) == 3
+        assert detect_degree(specialize(builder, 0)) == 3
 
     def test_conic_degree_four(self):
-        assert detect_degree(get_problem("conic"), 6, 0) == 4
+        assert detect_degree(specialize(get_problem("conic"), 0)) == 4
 
     def test_conic_degree_matches_exact_oracle(self):
-        # integer conic pair through the same Sylvester assembly
-        from resultant_solve.problems.sylvester import sylvester_matrix_polynomial
-
+        # integer conic pairs through the same stack function
         rng = np.random.default_rng(2)
         for _ in range(5):
-            a1, b1, c1, d1, e1, f1 = rng.integers(1, 9, size=6)
-            a2, b2, c2, d2, e2, f2 = rng.integers(1, 9, size=6)
-            q1 = [[a1], [2 * d1, 2 * b1], [f1, 2 * e1, c1]]
-            q2 = [[a2], [2 * d2, 2 * b2], [f2, 2 * e2, c2]]
-            mp = sylvester_matrix_polynomial(q1, q2)
+            c1, c2 = rng.integers(1, 9, size=(2, 3, 3)).astype(float)
+            mp = MatrixPolynomial(conic.matrix_stack(c1, c2))
             assert len(det_poly_exact(mp)) - 1 == 4
 
     def test_five_point_degree_ten(self):
-        assert detect_degree(get_problem("five_point"), 5, 0) == 10
+        assert detect_degree(specialize(get_problem("five_point"), 0)) == 10
 
     def test_five_point_degree_matches_exact_oracle(self):
         # generic integer stand-ins for the nullspace basis share the
         # constraint structure, so the exact determinant fixes the degree
-        from resultant_solve.problems.five_point import modular_matrix
-
         rng = np.random.default_rng(3)
-        mm = modular_matrix(rng, SPECIALIZATION_PRIMES[0])
-        got = det_modular(mm)
+        prime = SPECIALIZATION_PRIMES[0]
+        got = det_modular(five_point.modular_matrix(rng, prime), prime)
         assert len(got) - 1 == 10
 
-    def test_majority_disagreement_rejected(self):
-        calls = [1, 1, 2]  # trial degrees 1, 1, 2: the maximum has no majority
-
+    def test_specializations_disagree_rejected(self):
+        # diag(x, 1) over the first prime, diag(x, x) over the second
         class _Flaky(_ToyBuilder):
-            def build(self, data):
-                stack = np.zeros((2, 2, 2))
-                if calls.pop(0) == 1:
-                    stack[0, 1, 1] = 1.0  # diag(x, 1): degree 1
-                    stack[1, 0, 0] = 1.0
-                else:
-                    stack[1] = np.eye(2)  # diag(x, x): degree 2
-                return MatrixPolynomial(stack)
+            def modular_matrix(self, rng, p):
+                stack = np.zeros((2, 2, 2), dtype=int)
+                stack[1, 0, 0] = 1
+                stack[0 if p == SPECIALIZATION_PRIMES[0] else 1, 1, 1] = 1
+                return _to_modular(stack, p)
 
         flaky = _Flaky(_diag_x_stack(2))
-        with pytest.raises(TemplateError, match="degenerate template"):
-            detect_degree(flaky, 3, 0)
-
-    def test_too_few_trials_rejected(self):
-        with pytest.raises(ValueError):
-            detect_degree(_ToyBuilder(_diag_x_stack(2)), 2, 0)
+        with pytest.raises(TemplateError, match="disagree on the degree"):
+            detect_degree(specialize(flaky, 0))
 
 
 class TestFindDeletionPair:
@@ -186,11 +163,11 @@ class TestFindDeletionPair:
         # (0,0) is a valid deletion; the scan prefers the low-degree column
         stack = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
         builder = _ToyBuilder(stack)
-        assert find_deletion_pair(builder, 0) == (0, 1)
+        assert _deletion(builder) == (0, 1)
         prime = SPECIALIZATION_PRIMES[0]
         mm = builder.modular_matrix(None, prime)
-        full = det_modular(mm)  # x^2 - 1
-        minor = det_modular(mm.minor(0, 0))  # x
+        full = det_modular(mm, prime)  # x^2 - 1
+        minor = det_modular(_minor(mm, 0, 0), prime)  # x
         assert len(_zp_gcd(full, minor, prime)) == 1
 
     def test_shared_factor_rejected(self):
@@ -199,7 +176,7 @@ class TestFindDeletionPair:
         stack[0] = np.diag([-1.0, -2.0])
         stack[1] = np.eye(2)
         with pytest.raises(TemplateError, match="no valid deletion pair"):
-            find_deletion_pair(_ToyBuilder(stack), 0)
+            _deletion(_ToyBuilder(stack))
 
     def test_generic_matrix_accepted_immediately(self):
         rng = np.random.default_rng(4)
@@ -207,7 +184,7 @@ class TestFindDeletionPair:
         mp = MatrixPolynomial(stack)
         # generic minors share no factor: the first scanned pair wins,
         # which is row 0 of the lowest-degree basis column
-        assert find_deletion_pair(_ToyBuilder(stack), 0) == (0, 4)
+        assert _deletion(_ToyBuilder(stack)) == (0, 4)
         # exact oracle over Q: both the scanned and the (0, 0) minor are
         # coprime with the determinant
         full = det_poly_exact(mp)
@@ -221,31 +198,28 @@ class TestFindDeletionPair:
         prime = SPECIALIZATION_PRIMES[0]
         rng = np.random.default_rng(5)
         a, b, c, d, e, f, g = (int(v) for v in rng.integers(2, 50, size=7))
-        entries = [
-            [[0, a], [0, b], [c]],
-            [[a], [b], [d]],
-            [[e], [f], [g]],
-        ]
-        mm = ModularPolyMatrix(entries, prime)
-        full = det_modular(mm)
-        assert len(full) - 1 == 1
-        for i in range(3):
-            for j in range(3):
-                minor = det_modular(mm.minor(i, j))
-                coprime = bool(minor) and len(_zp_gcd(full, minor, prime)) == 1
-                if i == 2:  # keeps both dependent rows
-                    assert not coprime
-        # deleting row 0 or 1 breaks the dependency for some column
-        assert any(
-            det_modular(mm.minor(i, j))
-            and len(_zp_gcd(full, det_modular(mm.minor(i, j)), prime)) == 1
-            for i in (0, 1)
-            for j in range(3)
+        mm = np.array(
+            [
+                [[0, 0, c], [a, b, d], [e, f, g]],  # x^0
+                [[a, b, 0], [0, 0, 0], [0, 0, 0]],  # x^1
+            ],
+            dtype=object,
         )
+
+        def coprime(i, j):
+            minor = det_modular(_minor(mm, i, j), prime)
+            return bool(minor) and len(_zp_gcd(full, minor, prime)) == 1
+
+        full = det_modular(mm, prime)
+        assert len(full) - 1 == 1
+        for j in range(3):
+            assert not coprime(2, j)  # keeps both dependent rows
+        # deleting row 0 or 1 breaks the dependency for some column
+        assert any(coprime(i, j) for i in (0, 1) for j in range(3))
 
     def test_deterministic(self):
         problem = get_problem("conic")
-        assert find_deletion_pair(problem, 3) == find_deletion_pair(problem, 3)
+        assert _deletion(problem, 3) == _deletion(problem, 3)
 
 
 class TestSelectRecoveryPairs:
@@ -285,6 +259,20 @@ class TestTemplates:
     def test_five_point_template(self, five_point_template):
         t = five_point_template
         assert (t.size, t.k, t.r) == (10, 10, 10)
+
+    @pytest.mark.parametrize(
+        "pid, k, deletion, recovery",
+        [
+            ("conic", 4, [0, 3], {"0": [1, 2]}),
+            ("five_point", 10, [0, 9], {"0": [4, 7], "1": [5, 8]}),
+        ],
+    )
+    def test_golden_templates(self, pid, k, deletion, recovery):
+        # the online stage replays these; a refactor of the offline stage
+        # must not move them for any seed
+        for seed in range(5):
+            obj = json.loads(template_to_json(build_template(get_problem(pid), seed)))
+            assert (obj["k"], obj["deletion"], obj["recovery"]) == (k, deletion, recovery)
 
     def test_build_deterministic(self):
         problem = get_problem("conic")

@@ -7,6 +7,7 @@ import equation_oracles
 from resultant_solve.matrixpoly import evaluate_at
 from resultant_solve.problems import (
     DegenerateDataError,
+    conic,
     five_point,
     generate_instance,
     get_problem,
@@ -52,7 +53,7 @@ class TestConic:
         # M(y) b(x) reproduces (x f1, f1, x f2, f2) for arbitrary (x, y)
         problem = get_problem("conic")
         rng = np.random.default_rng(1)
-        data = problem.random_data(rng)
+        data = problem.generate_instance(rng)[0]
         mp = problem.build(data)
         for _ in range(20):
             x, y = rng.uniform(-2, 2, size=2)
@@ -126,7 +127,7 @@ class TestFivePoint:
         # M(z) b(x, y) equals the ten cubic values for arbitrary (x, y, z)
         problem = get_problem("five_point")
         rng = np.random.default_rng(1)
-        data = problem.random_data(rng)
+        data = problem.generate_instance(rng)[0]
         mp = problem.build(data)
         for _ in range(20):
             pt = rng.uniform(-2, 2, size=3)
@@ -220,13 +221,31 @@ class TestSharedProperties:
         problem = get_problem(pid)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            data = problem.random_data(rng)
+            data = problem.generate_instance(rng)[0]
             points = rng.uniform(-2, 2, size=(20, problem.n_vars))
             got = problem.original_equations(data).evaluate_all(points)
             for pt, vals in zip(points, got):
                 want = equation_oracles.values(pid, data, pt)
                 scale = max(1.0, np.abs(want).max())
                 assert np.max(np.abs(vals - want)) < 1e-12 * scale
+
+    def test_stack_functions_are_ring_agnostic(self):
+        # one layout for both rings: on integer parameters the float stack
+        # (online build) and the Python-int stack (offline Z_p matrix) agree
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            e_basis = rng.integers(-50, 51, size=(4, 3, 3))
+            c1, c2 = rng.integers(-50, 51, size=(2, 3, 3))
+            for stack_fn, params in (
+                (five_point.matrix_stack, (e_basis,)),
+                (conic.matrix_stack, (c1, c2)),
+            ):
+                exact = stack_fn(*(p.astype(object) for p in params))
+                floats = stack_fn(*(p.astype(float) for p in params))
+                assert exact.dtype == object and floats.dtype == float
+                assert all(type(v) is int for v in exact.ravel())
+                assert exact.shape == floats.shape
+                assert np.array_equal(exact.astype(float), floats)
 
     def test_solution_count_ceiling(self, conic_template, five_point_template):
         for template, pid in ((conic_template, "conic"), (five_point_template, "five_point")):
