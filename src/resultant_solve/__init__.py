@@ -7,7 +7,7 @@ through a companion matrix, and recovers the remaining unknowns as
 Cramer-rule determinant ratios on a GCD-validated submatrix.
 """
 
-from .matrixpoly import MatrixPolynomial, det_complex, det_poly_exact, evaluate_at
+from .matrixpoly import MatrixPolynomial, det_complex, evaluate_at
 from .offline import (
     SolverTemplate,
     TemplateError,
@@ -52,7 +52,6 @@ __all__ = [
     "build_template",
     "cramer_ratios",
     "det_complex",
-    "det_poly_exact",
     "detect_degree",
     "evaluate_at",
     "find_deletion_pair",

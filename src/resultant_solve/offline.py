@@ -19,6 +19,13 @@ Floating-point GCDs are ill-defined and rational arithmetic blows up, so
 the coprimality test works modulo two fixed 31-bit primes; a pair is
 accepted only if its GCD is constant in both independent specializations,
 which bounds the false-accept probability below ~deg^2/p^2.
+
+Each determinant in Z_p[x] (``det_modular``) is sampled and
+interpolated: the matrix is evaluated at P = N d + 1 points in ``int64``,
+one Gaussian elimination without division in its loop runs over all P
+matrices at once, and Newton divided differences on the points 0..P-1
+give the coefficients in O(P^2).  Residue products must fit in ``int64``,
+so p is limited to (p-1)^2 < 2^63; the 31-bit primes are far inside.
 """
 
 from __future__ import annotations
@@ -76,47 +83,57 @@ def _zp_gcd(a: list, b: list, p: int) -> list:
     return a
 
 
-def _zp_det_scalar(m: list, p: int) -> int:
-    """Determinant of a square matrix of residues, Gaussian elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    det = 1
+def _zp_dets(m: np.ndarray, p: int) -> list:
+    """Determinants mod p of a (P, n, n) ``int64`` stack of residues.
+
+    Gaussian elimination over the whole stack at once, with no division
+    in the loop: the row update  row_i <- pivot * row_i - a_ik * row_k
+    scales det by the pivot once per updated row, so per matrix it keeps
+    the product of the pivots and of those scalings  pivot^(n-k-1)  and
+    divides once at the end.  ``m`` is overwritten.
+    """
+    count, n, _ = m.shape
+    negated = np.zeros(count, dtype=bool)  # odd number of row swaps
+    pivots = np.ones(count, dtype=np.int64)
+    scalings = np.ones(count, dtype=np.int64)
     for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = (det * a[k][k]) % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = (a[i][k] * inv) % p
-            if f:
-                for j in range(k, n):
-                    a[i][j] = (a[i][j] - f * a[k][j]) % p
-    return det % p
+        # first nonzero row at or below k; a zero column keeps argmax at k
+        row = k + np.argmax(m[:, k:, k] != 0, axis=1)
+        swap = np.flatnonzero(row != k)
+        if swap.size:
+            m[swap, k], m[swap, row[swap]] = m[swap, row[swap]], m[swap, k]
+            negated[swap] ^= True
+        pivot = m[:, k, k]
+        pivots = pivots * pivot % p
+        if k + 1 < n:
+            # pivot_j enters once for each later step j..n-2: pivot_j^(n-j-1)
+            scalings = scalings * pivots % p
+            m[:, k + 1 :, k + 1 :] = (
+                pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
+                - m[:, k + 1 :, k, None] * m[:, k, None, k + 1 :]
+            ) % p
+    dets = np.where(negated, (p - pivots) % p, pivots).tolist()
+    # a zero pivot zeroes the pivot product, and with it the determinant
+    return [v * pow(s, -1, p) % p if v else 0 for v, s in zip(dets, scalings.tolist())]
 
 
-def _zp_interpolate(points: list, values: list, p: int) -> list:
-    """Lagrange interpolation through (points[i], values[i]) in Z_p[x]."""
-    coeffs = [0] * len(points)
-    for t, y in zip(points, values):
-        if y == 0:
-            continue
-        basis = [1]
-        denom = 1
-        for s in points:
-            if s == t:
-                continue
-            denom = (denom * (t - s)) % p
-            basis = [0] + basis
-            for i in range(len(basis) - 1):
-                basis[i] = (basis[i] - s * basis[i + 1]) % p
-        scale = (y * pow(denom, -1, p)) % p
-        for i, bc in enumerate(basis):
-            coeffs[i] = (coeffs[i] + scale * bc) % p
-    return _zp_trim(coeffs)
+def _zp_newton_interpolate(values: list, p: int) -> list:
+    """The polynomial of degree < P through (t, values[t]), t = 0..P-1, in Z_p[x].
+
+    Newton divided differences (on consecutive integers the level-l
+    denominators are all l), then Horner expansion of the Newton form into
+    monomial coefficients: O(P^2) residue operations.
+    """
+    c = np.array(values, dtype=np.int64)
+    count = len(c)
+    for level in range(1, count):
+        c[level:] = (c[level:] - c[level - 1 : -1]) % p * pow(level, -1, p) % p
+    poly = np.zeros(count, dtype=np.int64)
+    poly[0] = c[-1]
+    for t in range(count - 2, -1, -1):  # poly <- poly * (x - t) + c[t]
+        poly[1:] = (poly[:-1] - t * poly[1:]) % p
+        poly[0] = (c[t] - t * poly[0]) % p
+    return _zp_trim(poly.tolist())
 
 
 def det_modular(stack: np.ndarray, p: int) -> list:
@@ -124,22 +141,24 @@ def det_modular(stack: np.ndarray, p: int) -> list:
 
     ``stack`` is the (d+1, N, N) coefficient stack of ``MatrixPolynomial``
     as an ``object`` array of Python ints in [0, p).  Mirrors the online
-    pipeline structurally: evaluate the matrix at enough distinct field
-    points (matrix Horner), take scalar determinants, interpolate.
+    pipeline structurally: evaluate the matrix at the P = N d + 1 points
+    0..P-1 (one matrix Horner pass), take all P scalar determinants in one
+    division-free elimination, interpolate in O(P^2).  The work is in
+    ``int64``, so p must keep (p-1)^2 within ``int64``.
     """
+    if (p - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"prime {p} too large for int64 residue products")
     while len(stack) > 1 and not stack[-1].any():
         stack = stack[:-1]  # a minor may lose its top degree
-    bound = stack.shape[1] * (stack.shape[0] - 1)
-    if bound + 1 > p:
+    count = stack.shape[1] * (stack.shape[0] - 1) + 1
+    if count > p:
         raise ValueError("field too small for interpolation")
-    points = list(range(bound + 1))
-    values = []
-    for t in points:
-        scalar = stack[-1]
-        for a in stack[-2::-1]:
-            scalar = (scalar * t + a) % p
-        values.append(_zp_det_scalar(scalar.tolist(), p))
-    return _zp_interpolate(points, values, p)
+    coeffs = stack.astype(np.int64)
+    points = np.arange(count, dtype=np.int64)[:, None, None]
+    m = np.repeat(coeffs[-1:], count, axis=0)
+    for a in coeffs[-2::-1]:
+        m = (m * points + a) % p
+    return _zp_newton_interpolate(_zp_dets(m, p), p)
 
 
 def _minor(stack: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -40,6 +40,12 @@ class ConicPairData:
             c = np.asarray(c, dtype=float)
             if c.shape != (3, 3):
                 raise ValueError(f"{name} must be 3x3, got {c.shape}")
+            if not np.isfinite(c).all():
+                raise DegenerateDataError(f"{name} has a non-finite entry")
+            # exact power-of-two pre-scale: the norm can neither overflow
+            # nor underflow, and for in-range data c / norm is unchanged bit
+            # for bit
+            c = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
             c = (c + c.T) / 2.0
             norm = np.linalg.norm(c)
             if norm == 0.0:

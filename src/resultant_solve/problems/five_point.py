@@ -127,6 +127,10 @@ class FivePointData:
             pts = np.asarray(pts, dtype=float)
             if pts.shape != (5, 3):
                 raise ValueError(f"{name} must be (5, 3), got {pts.shape}")
+            if not np.isfinite(pts).all():
+                raise DegenerateDataError(f"{name} has a non-finite entry")
+            # exact power-of-two pre-scale per point, as for the conics
+            pts = np.ldexp(pts, -np.frexp(np.abs(pts).max(axis=1))[1][:, None])
             norms = np.linalg.norm(pts, axis=1)
             if np.any(norms == 0.0):
                 raise DegenerateDataError(f"{name} contains a zero point")

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import resultant_solve
+from exact_oracles import det_poly_exact
 from resultant_solve.cli import run_bench
 from resultant_solve.matrixpoly import (
     MatrixPolynomial,
     det_complex,
-    det_poly_exact,
     evaluate_at,
 )
 from resultant_solve.problems import get_problem

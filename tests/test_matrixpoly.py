@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from exact_oracles import det_poly_exact
 from resultant_solve.matrixpoly import (
     MatrixPolynomial,
     det_complex,
-    det_poly_exact,
     evaluate_at,
 )
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import equation_oracles
-from resultant_solve.matrixpoly import MatrixPolynomial, det_poly_exact
+from exact_oracles import det_poly_exact, zp_det_poly
+from resultant_solve.matrixpoly import MatrixPolynomial
 from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
     SolverTemplate,
@@ -114,6 +115,43 @@ class TestModularArithmetic:
                 while want and want[-1] == 0:
                     want.pop()
                 assert got == want
+
+    @pytest.mark.parametrize("prime", [*SPECIALIZATION_PRIMES, 13])
+    def test_det_modular_matches_python_int_oracle(self, prime):
+        rng = np.random.default_rng(prime % 1000)
+        cases = 0
+        for trial in range(60):
+            n, d = int(rng.integers(1, 11)), int(rng.integers(0, 4))
+            if n * d + 1 > prime:
+                continue
+            high = prime if trial % 2 else 3  # small residues: many zeros
+            stack = rng.integers(0, high, size=(d + 1, n, n)).astype(object)
+            shape = trial % 5
+            if shape == 1:  # zero row: singular at every point
+                stack[:, rng.integers(n)] = 0
+            elif shape == 2 and n > 1:  # repeated column: rank-deficient
+                j = int(rng.integers(n - 1))
+                stack[:, :, j + 1] = stack[:, :, j]
+            elif shape == 3 and n > 2:  # zero block: pivots need row swaps
+                stack[:, : n // 2, : n // 2 + 1] = 0
+            elif shape == 4:  # all-zero top slice: the determinant loses degree
+                stack[-1] = 0
+            assert det_modular(stack, prime) == zp_det_poly(stack, prime)
+            cases += 1
+        assert cases >= 30
+
+    @pytest.mark.parametrize("prime", [*SPECIALIZATION_PRIMES, 7])
+    def test_det_modular_edge_shapes(self, prime):
+        one_by_one = np.array([[[3]], [[0]], [[5]]], dtype=object)  # 3 + 5x^2
+        constant = np.array([[[2, 1], [4, 3]]], dtype=object)  # d = 0
+        for stack in (one_by_one, constant):
+            assert det_modular(stack, prime) == zp_det_poly(stack, prime)
+        assert det_modular(one_by_one, prime) == [3, 0, 5]
+
+    def test_prime_too_large_for_int64_rejected(self):
+        big = 2**61 - 1  # a Mersenne prime: (p-1)^2 overflows int64
+        with pytest.raises(ValueError, match="too large"):
+            det_modular(np.ones((2, 2, 2), dtype=object), big)
 
 
 class TestDetectDegree:

@@ -278,3 +278,72 @@ class TestSharedProperties:
             solve_online(five_point_template, data5),
             solve_online(five_point_template, scaled5),
         )
+
+
+def _match_solutions(a, b, tol):
+    assert len(a.accepted) == len(b.accepted)
+    for ca in a.accepted:
+        assert min(np.max(np.abs(ca.x - cb.x)) for cb in b.accepted) < tol
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_conic_non_finite_entry_rejected(self, bad):
+        data, _ = generate_instance("conic", 3)
+        c2 = data.c2.copy()
+        c2[0, 1] = bad
+        with pytest.raises(DegenerateDataError, match="c2 has a non-finite entry"):
+            ConicPairData(data.c1, c2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_five_point_non_finite_entry_rejected(self, bad):
+        data, _ = generate_instance("five_point", 3)
+        pts_a = data.pts_a.copy()
+        pts_a[2, 1] = bad
+        with pytest.raises(DegenerateDataError, match="pts_a has a non-finite entry"):
+            FivePointData(pts_a, data.pts_b)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_conic_extreme_scale_solves(self, conic_template, scale):
+        # the Frobenius norm of the raw data overflows or underflows
+        data, _ = generate_instance("conic", 4)
+        scaled = ConicPairData(scale * data.c1, scale * data.c2)
+        assert np.linalg.norm(scaled.c1) == pytest.approx(1.0)
+        _match_solutions(
+            solve_online(conic_template, data),
+            solve_online(conic_template, scaled),
+            1e-8,
+        )
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_five_point_extreme_scale_solves(self, five_point_template, scale):
+        data, _ = generate_instance("five_point", 4)
+        scaled = FivePointData(scale * data.pts_a, data.pts_b / scale)
+        assert np.allclose(np.linalg.norm(scaled.pts_a, axis=1), 1.0)
+        assert np.allclose(np.linalg.norm(scaled.pts_b, axis=1), 1.0)
+        _match_solutions(
+            solve_online(five_point_template, data),
+            solve_online(five_point_template, scaled),
+            1e-8,
+        )
+
+    def test_power_of_two_scale_is_bitwise_neutral(self):
+        # the pre-scale is exact: in-range data normalise as plain
+        # division by the norm, and any power-of-two rescaling is invisible
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c1, c2 = rng.standard_normal((2, 3, 3))
+            pts_a, pts_b = rng.standard_normal((2, 5, 3))
+            data = ConicPairData(c1, c2)
+            sym = (c1 + c1.T) / 2.0
+            assert np.array_equal(data.c1, sym / np.linalg.norm(sym))
+            points = FivePointData(pts_a, pts_b)
+            norms = np.linalg.norm(pts_a, axis=1)[:, None]
+            assert np.array_equal(points.pts_a, pts_a / norms)
+            for shift in (-900, -40, 37, 900):
+                moved = ConicPairData(np.ldexp(c1, shift), np.ldexp(c2, shift))
+                assert np.array_equal(moved.c1, data.c1)
+                assert np.array_equal(moved.c2, data.c2)
+                moved5 = FivePointData(np.ldexp(pts_a, shift), np.ldexp(pts_b, shift))
+                assert np.array_equal(moved5.pts_a, points.pts_a)
+                assert np.array_equal(moved5.pts_b, points.pts_b)

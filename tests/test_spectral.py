@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from exact_oracles import det_poly_exact
 from resultant_solve.matrixpoly import (
     MatrixPolynomial,
     det_complex,
-    det_poly_exact,
     evaluate_at,
 )
 from resultant_solve.spectral import (
