@@ -7,7 +7,7 @@ through a companion matrix, and recovers the remaining unknowns as
 Cramer-rule determinant ratios on a GCD-validated submatrix.
 """
 
-from .matrixpoly import MatrixPolynomial, det_complex, evaluate_at
+from .matrixpoly import det_complex, evaluate_at
 from .offline import (
     SolverTemplate,
     TemplateError,
@@ -28,26 +28,18 @@ from .recover import (
     solve_online,
 )
 from .rootfind import real_candidates, roots
-from .spectral import (
-    UnivariatePolynomial,
-    batched_eval,
-    recover_coefficients,
-    sampling_points,
-    trim,
-)
+from .spectral import batched_eval, recover_coefficients, trim
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CandidateSolution",
-    "MatrixPolynomial",
     "PROBLEMS",
     "PolynomialSystem",
     "SolutionSet",
     "SolveError",
     "SolverTemplate",
     "TemplateError",
-    "UnivariatePolynomial",
     "batched_eval",
     "build_template",
     "cramer_ratios",
@@ -61,7 +53,6 @@ __all__ = [
     "real_candidates",
     "recover_coefficients",
     "roots",
-    "sampling_points",
     "select_recovery_pairs",
     "solve_online",
     "template_from_json",

@@ -139,9 +139,9 @@ def _zp_newton_interpolate(values: list, p: int) -> list:
 def det_modular(stack: np.ndarray, p: int) -> list:
     """Exact determinant polynomial of a Z_p matrix polynomial.
 
-    ``stack`` is the (d+1, N, N) coefficient stack of ``MatrixPolynomial``
-    as an ``object`` array of Python ints in [0, p).  Mirrors the online
-    pipeline structurally: evaluate the matrix at the P = N d + 1 points
+    ``stack`` is a (d+1, N, N) coefficient stack, the layout ``build``
+    returns, as an ``object`` array of Python ints in [0, p).  Mirrors the
+    online pipeline structurally: evaluate the matrix at the P = N d + 1 points
     0..P-1 (one matrix Horner pass), take all P scalar determinants in one
     division-free elimination, interpolate in O(P^2).  The work is in
     ``int64``, so p must keep (p-1)^2 within ``int64``.
@@ -169,6 +169,12 @@ def _minor(stack: np.ndarray, i: int, j: int) -> np.ndarray:
 # --- template construction ---------------------------------------------------
 
 
+def _unit_exponent(w: int, n_vars: int, hidden_index: int) -> tuple:
+    """Exponent vector of variable w over the non-hidden variables."""
+    pos = w - 1 if w > hidden_index else w
+    return tuple(int(q == pos) for q in range(n_vars - 1))
+
+
 @dataclass(frozen=True)
 class SolverTemplate:
     """Offline artifact consumed by the online stage."""
@@ -184,16 +190,22 @@ class SolverTemplate:
     recovery_pairs: dict
 
     def __post_init__(self):
+        if not isinstance(self.problem_id, str):
+            raise ValueError("template problem must be a string")
         numbers = [self.n_vars, self.hidden_index, self.size, self.k, self.r]
         numbers += self.deletion_pair
         for pair in self.recovery_pairs.values():
             numbers += pair
-        if not all(isinstance(v, int) for v in numbers):
+        # bool is an int subclass, but a JSON true is not an index
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
             raise ValueError("template sizes and indices must be integers")
         if not self.k >= self.r >= 1:
             raise ValueError(f"need k >= r >= 1, got k={self.k}, r={self.r}")
         if len(self.basis) != self.size:
             raise ValueError(f"basis has {len(self.basis)} monomials, need N={self.size}")
+        # also bounds n_vars by the template's own size before range(n_vars)
+        if any(len(e) != self.n_vars - 1 for e in self.basis):
+            raise ValueError(f"basis monomials need {self.n_vars - 1} exponents each")
         if not 0 <= self.hidden_index < self.n_vars:
             raise ValueError(f"hidden index {self.hidden_index} out of range")
         i, j = self.deletion_pair
@@ -211,19 +223,10 @@ class SolverTemplate:
             if j1 == j or j2 == j:
                 raise ValueError(f"recovery pair for variable {w} hits deleted column")
             diff = tuple(a - b for a, b in zip(self.basis[j1], self.basis[j2]))
-            expected = self._unit(self._reduced_position(w))
-            if diff != expected:
+            if diff != _unit_exponent(w, self.n_vars, self.hidden_index):
                 raise ValueError(
                     f"recovery pair for variable {w} has monomial ratio {diff}"
                 )
-
-    def _reduced_position(self, w: int) -> int:
-        return w - 1 if w > self.hidden_index else w
-
-    def _unit(self, pos: int) -> tuple:
-        e = [0] * (self.n_vars - 1)
-        e[pos] = 1
-        return tuple(e)
 
 
 def template_to_json(template: SolverTemplate) -> str:
@@ -244,6 +247,8 @@ def template_to_json(template: SolverTemplate) -> str:
 def template_from_json(text: str) -> SolverTemplate:
     obj = json.loads(text)
     try:
+        if not isinstance(obj["recovery"], dict):
+            raise ValueError("malformed template: recovery must be an object")
         return SolverTemplate(
             problem_id=obj["problem"],
             n_vars=obj["n_vars"],
@@ -345,8 +350,7 @@ def select_recovery_pairs(
     for w in range(n_vars):
         if w == hidden_index:
             continue
-        pos = w - 1 if w > hidden_index else w
-        unit = tuple(1 if q == pos else 0 for q in range(n_vars - 1))
+        unit = _unit_exponent(w, n_vars, hidden_index)
         candidates = [
             (sum(basis[j1]) + sum(basis[j2]), j1, j2)
             for j1 in range(len(basis))

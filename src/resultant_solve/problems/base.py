@@ -16,8 +16,10 @@ class Problem:
 
     ``basis`` lists the column monomials as exponent tuples over the
     non-hidden variables (original variable order with the hidden one
-    removed).  ``modular_matrix(rng, p)`` returns a random instance of the
-    matrix over Z_p as a (d+1, N, N) ``object`` stack of Python ints.
+    removed).  ``build(data)`` returns the instance's matrix polynomial as
+    its float64 (d+1, N, N) coefficient stack; ``modular_matrix(rng, p)``
+    returns a random instance of the matrix over Z_p as a (d+1, N, N)
+    ``object`` stack of Python ints.
     """
 
     problem_id: str

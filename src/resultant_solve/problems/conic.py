@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrixpoly import MatrixPolynomial
 from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 from .sylvester import sylvester_stack
@@ -89,12 +88,12 @@ def matrix_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return sylvester_stack(_x_coefficients(c1), _x_coefficients(c2))
 
 
-def build(data: ConicPairData) -> MatrixPolynomial:
+def build(data: ConicPairData) -> np.ndarray:
     if max(abs(data.c1[0, 0]), abs(data.c2[0, 0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"
         )
-    return MatrixPolynomial(matrix_stack(data.c1, data.c2))
+    return matrix_stack(data.c1, data.c2)
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -160,13 +159,12 @@ def data_to_json(data: ConicPairData) -> dict:
 
 def data_from_json(obj: dict) -> ConicPairData:
     try:
-        c1, c2 = obj["C1"], obj["C2"]
+        c1, c2 = (np.array(obj[key], dtype=float).reshape(3, 3) for key in ("C1", "C2"))
     except (KeyError, TypeError):
-        raise ValueError("conic data must be an object with keys C1, C2") from None
-    return ConicPairData(
-        np.array(c1, dtype=float).reshape(3, 3),
-        np.array(c2, dtype=float).reshape(3, 3),
-    )
+        raise ValueError(
+            "conic data must be an object with number arrays C1, C2"
+        ) from None
+    return ConicPairData(c1, c2)
 
 
 PROBLEM = Problem(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..matrixpoly import MatrixPolynomial
 from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 
@@ -149,8 +148,8 @@ def matrix_stack(e_basis: np.ndarray) -> np.ndarray:
     return stack
 
 
-def build(data: FivePointData) -> MatrixPolynomial:
-    return MatrixPolynomial(matrix_stack(_nullspace_basis(data)))
+def build(data: FivePointData) -> np.ndarray:
+    return matrix_stack(_nullspace_basis(data))
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -218,12 +217,12 @@ def data_to_json(data: FivePointData) -> dict:
 
 def data_from_json(obj: dict) -> FivePointData:
     try:
-        pts_a, pts_b = obj["pts_a"], obj["pts_b"]
+        pts_a, pts_b = (np.array(obj[key], dtype=float) for key in ("pts_a", "pts_b"))
     except (KeyError, TypeError):
         raise ValueError(
-            "five_point data must be an object with keys pts_a, pts_b"
+            "five_point data must be an object with number arrays pts_a, pts_b"
         ) from None
-    return FivePointData(np.array(pts_a, dtype=float), np.array(pts_b, dtype=float))
+    return FivePointData(pts_a, pts_b)
 
 
 PROBLEM = Problem(

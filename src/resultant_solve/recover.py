@@ -1,9 +1,10 @@
 """Online stage: from instance data to verified solutions.
 
-One solve executes the whole sampling pipeline: build the matrix
-polynomial, evaluate it at the unit-circle points with one FFT, take the
-batched determinants, recover and trim the determinant coefficients via
-IFFT, and root the polynomial through its companion matrix.  Back-
+One solve executes the whole sampling pipeline as a chain of plain
+arrays: build the (d+1, N, N) coefficient stack of the matrix polynomial,
+evaluate it at the unit-circle points with one FFT, take the batched
+determinants, recover the determinant's coefficient array via IFFT, trim
+it, and root it through its companion matrix.  Back-
 substitution then runs on all real candidate roots at once: one Horner
 pass evaluates the matrix at every root, and every Cramer-rule ratio of
 every root comes from one batched LU call on a stack of column-replaced
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixpoly import MatrixPolynomial, det_complex, evaluate_at
-from .offline import SolverTemplate
+from .matrixpoly import det_complex, evaluate_at
+from .offline import SolverTemplate, TemplateError, select_recovery_pairs
 from .problems import DegenerateDataError, get_problem
-from .rootfind import DEFAULT_IM_TOL, real_candidates, roots
-from .spectral import UnivariatePolynomial, batched_eval, recover_coefficients, trim
+from .rootfind import real_candidates, roots
+from .spectral import batched_eval, recover_coefficients, trim
 
 RESIDUAL_FAIL_THRESHOLD = 1e-3
 COORDINATE_IM_TOL = 1e-6
@@ -114,8 +115,6 @@ def _fallback_deletions(template: SolverTemplate) -> list:
     can zero it out structurally (for example when the deleted column has
     support only in the deleted row); alternates keep such candidates alive.
     """
-    from .offline import TemplateError, select_recovery_pairs
-
     options = []
     pairs_for_col: dict = {}
     for i in range(template.size):
@@ -135,7 +134,7 @@ def _fallback_deletions(template: SolverTemplate) -> list:
 
 
 def _assemble_candidates(
-    mp: MatrixPolynomial,
+    stack: np.ndarray,
     template: SolverTemplate,
     hidden_values: np.ndarray,
     system,
@@ -149,7 +148,7 @@ def _assemble_candidates(
     """
     if not len(hidden_values):
         return []
-    m_at_roots = evaluate_at(mp, hidden_values)
+    m_at_roots = evaluate_at(stack, hidden_values)
     values, singular = cramer_ratios(
         m_at_roots, template.deletion_pair, template.recovery_pairs
     )
@@ -193,57 +192,45 @@ def _deduplicate(candidates: list) -> list:
     return [candidates[k] for k in kept]
 
 
-def solve_online(
-    template: SolverTemplate, data, *, rank_check: bool = False
-) -> SolutionSet:
-    """Run the full online stage for one instance.
-
-    ``rank_check`` additionally verifies that the full matrix is
-    numerically rank-deficient at every accepted root (diagnostic; off by
-    default).
-    """
+def solve_online(template: SolverTemplate, data) -> SolutionSet:
+    """Run the full online stage for one instance."""
     problem = get_problem(template.problem_id)
     try:
-        mp = problem.build(data)
+        stack = problem.build(data)
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
-    if mp.size != template.size:
+    if stack.shape[-1] != template.size:
         raise SolveError(
-            f"matrix size {mp.size} does not match template {template.size}"
+            f"matrix size {stack.shape[-1]} does not match template {template.size}"
         )
+    # det of an N x N matrix of degree-d entries has degree at most N d; a
+    # larger k would only let template input size the FFT
+    max_degree = template.size * (len(stack) - 1)
+    if template.k > max_degree:
+        raise SolveError(f"template degree {template.k} exceeds N d = {max_degree}")
 
-    samples = det_complex(batched_eval(mp, template.k))
+    samples = det_complex(batched_eval(stack, template.k))
     raw = recover_coefficients(samples)
-    max_mag = float(np.abs(raw.coeffs).max())
+    max_mag = float(np.abs(raw).max())
     if max_mag == 0.0:
         raise SolveError("degenerate instance: determinant vanished identically")
-    if float(np.abs(raw.coeffs.imag).max()) > REAL_SYMMETRY_TOL * max_mag:
+    if float(np.abs(raw.imag).max()) > REAL_SYMMETRY_TOL * max_mag:
         raise SolveError(
             "degenerate instance: real-coefficient symmetry violated"
         )
-    det_poly = trim(UnivariatePolynomial(raw.coeffs.real))
-    if det_poly.degree < 1:
+    det_poly = trim(raw.real)
+    if len(det_poly) < 2:
         raise SolveError("degenerate instance: determinant degree collapsed")
 
     all_roots = roots(det_poly)
-    hidden_values = real_candidates(all_roots, DEFAULT_IM_TOL)
+    hidden_values = real_candidates(all_roots)
     system = problem.original_equations(data)
-    candidates = _assemble_candidates(mp, template, hidden_values, system)
+    candidates = _assemble_candidates(stack, template, hidden_values, system)
     candidates.sort(key=lambda c: (c.residual, tuple(c.x)))
     kept = _deduplicate(candidates)
 
     good = [c for c in kept if c.residual <= RESIDUAL_FAIL_THRESHOLD]
     accepted = tuple(good[: template.r])
-    if rank_check:
-        for cand in accepted:
-            sigma = np.linalg.svd(
-                evaluate_at(mp, complex(cand.x[template.hidden_index])),
-                compute_uv=False,
-            )
-            if sigma[-1] > 1e-6 * sigma[0]:
-                raise SolveError(
-                    "rank check failed: matrix not rank-deficient at accepted root"
-                )
     return SolutionSet(
         accepted=accepted,
         rejected_count=len(candidates) - len(accepted),

@@ -3,70 +3,35 @@
 The determinant of a matrix polynomial has some fixed degree k.  Evaluating
 it at the k+1 points  e^{-2*pi*i*j/(k+1)}  turns coefficient recovery into
 an inverse DFT: the Vandermonde system linking samples to coefficients is
-the DFT matrix, so it is never formed or inverted.  The coefficient stack
-is zero-padded to length k+1 along the degree axis and a single forward
-FFT evaluates every matrix entry at every sample point at once.
+the DFT matrix, so it is never formed or inverted.  The (d+1, N, N)
+coefficient stack is zero-padded to length k+1 along the degree axis and
+a single forward FFT evaluates every matrix entry at every sample point at
+once.  The recovered determinant is one 1-D coefficient array, ascending
+degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .matrixpoly import MatrixPolynomial
 
 DEFAULT_TRIM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UnivariatePolynomial:
-    """Dense complex coefficients c_0..c_k, ascending degree."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D sequence")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def evaluate(self, z):
-        """Horner evaluation; z may be a scalar or an array of points."""
-        result = np.full_like(np.asarray(z, dtype=complex), self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            result = result * z + c
-        return result
-
-
-def sampling_points(k: int) -> np.ndarray:
-    """The k+1 determinant sample points e^{-2*pi*i*j/(k+1)}, j = 0..k."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return np.exp(-2j * np.pi * np.arange(k + 1) / (k + 1))
-
-
-def batched_eval(mp: MatrixPolynomial, k: int) -> np.ndarray:
-    """Evaluate mp at all of sampling_points(k) in one transform.
+def batched_eval(stack: np.ndarray, k: int) -> np.ndarray:
+    """Evaluate the (d+1, N, N) stack at the k+1 sample points in one transform.
 
     Returns a (k+1, N, N) complex stack; slice j equals the matrix evaluated
-    at sample point j.  The degree axis is zero-padded from d+1 to k+1 so
-    the FFT bins coincide with the sample points; k < d would alias entry
-    degrees and is rejected.
+    at e^{-2*pi*i*j/(k+1)}.  The degree axis is zero-padded from d+1 to k+1
+    so the FFT bins coincide with the sample points; k < d would alias
+    entry degrees and is rejected.
     """
-    if k < mp.entry_degree:
-        raise ValueError(
-            f"need k >= entry degree ({mp.entry_degree}), got k={k}"
-        )
-    return np.fft.fft(mp.stack, n=k + 1, axis=0)
+    if k < len(stack) - 1:
+        raise ValueError(f"need k >= entry degree ({len(stack) - 1}), got k={k}")
+    return np.fft.fft(stack, n=k + 1, axis=0)
 
 
-def recover_coefficients(samples: np.ndarray) -> UnivariatePolynomial:
-    """Coefficients c_0..c_k from samples taken at sampling_points(k).
+def recover_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Coefficients c_0..c_k from the k+1 samples taken by ``batched_eval``.
 
     Each coefficient is  c_l = (1/(k+1)) * sum_j y_j e^{2*pi*i*j*l/(k+1)},
     i.e. the inverse FFT of the sample vector.
@@ -74,19 +39,18 @@ def recover_coefficients(samples: np.ndarray) -> UnivariatePolynomial:
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D sequence")
-    return UnivariatePolynomial(np.fft.ifft(samples))
+    return np.fft.ifft(samples)
 
 
-def trim(p: UnivariatePolynomial, rel_tol: float = DEFAULT_TRIM_TOL) -> UnivariatePolynomial:
-    """Drop trailing coefficients below rel_tol of the largest magnitude.
+def trim(coeffs: np.ndarray) -> np.ndarray:
+    """Drop trailing coefficients below DEFAULT_TRIM_TOL of the largest magnitude.
 
-    The constant term always survives, so the result is never empty.
+    Returns a slice of ``coeffs``; the constant term always survives, so
+    the result is never empty.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    mags = np.abs(p.coeffs)
-    cutoff = rel_tol * mags.max()
-    top = p.coeffs.size
+    mags = np.abs(coeffs)
+    cutoff = DEFAULT_TRIM_TOL * mags.max()
+    top = len(coeffs)
     while top > 1 and mags[top - 1] <= cutoff:
         top -= 1
-    return UnivariatePolynomial(p.coeffs[:top])
+    return coeffs[:top]

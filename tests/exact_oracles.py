@@ -3,20 +3,25 @@
 They share no code with the library's determinant routines:
 
 * ``det_poly_exact`` — the exact integer-coefficient determinant
-  polynomial of an integer-stack ``MatrixPolynomial``, by exact
+  polynomial of an integer-valued (d+1, N, N) coefficient stack, by exact
   evaluation/interpolation or by fraction-free Bareiss elimination over
   Z[x]; the two must agree.  The online sampling pipeline and the offline
   stage's Z_p determinants are checked against it.
 * ``zp_det_poly`` — the Z_p determinant polynomial by one scalar Gaussian
   elimination on Python ints per evaluation point and Lagrange
   interpolation, the reference for the offline stage's ``int64`` path.
+* ``sample_points`` — the unit-circle points the FFT samples at, written
+  out, for checking ``spectral.batched_eval`` and ``recover_coefficients``.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from resultant_solve.matrixpoly import MatrixPolynomial
+
+def sample_points(k: int) -> np.ndarray:
+    """The k+1 determinant sample points e^{-2*pi*i*j/(k+1)}, j = 0..k."""
+    return np.exp(-2j * np.pi * np.arange(k + 1) / (k + 1))
 
 
 # --- exact integer-polynomial arithmetic -----------------------------------
@@ -73,8 +78,7 @@ def _pdiv_exact(a: list, b: list) -> list:
     return _ptrim(q)
 
 
-def _int_stack(mp: MatrixPolynomial) -> np.ndarray:
-    stack = mp.stack
+def _int_stack(stack: np.ndarray) -> np.ndarray:
     rounded = np.rint(stack)
     if not np.array_equal(rounded, stack):
         raise ValueError("det_poly_exact requires integer coefficient matrices")
@@ -103,18 +107,18 @@ def _int_det_bareiss(m: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_poly_interpolate(mp: MatrixPolynomial) -> list:
+def _det_poly_interpolate(stack: np.ndarray) -> list:
     """Exact det polynomial: integer evaluations + rational interpolation."""
-    stack = _int_stack(mp)
-    n = mp.size
-    deg_bound = n * mp.entry_degree
+    stack = _int_stack(stack)
+    n, degree = stack.shape[1], len(stack) - 1
+    deg_bound = n * degree
     # symmetric integer nodes keep the evaluated entries small
     nodes = [(t // 2 + 1) * (-1) ** t for t in range(deg_bound)]
     nodes = [0] + nodes
     values = []
     for t in nodes:
         entries = [
-            [int(sum(int(stack[l, r, c]) * t**l for l in range(mp.entry_degree + 1)))
+            [int(sum(int(stack[l, r, c]) * t**l for l in range(degree + 1)))
              for c in range(n)]
             for r in range(n)
         ]
@@ -145,13 +149,13 @@ def _det_poly_interpolate(mp: MatrixPolynomial) -> list:
     return _ptrim(out)
 
 
-def _det_poly_bareiss(mp: MatrixPolynomial) -> list:
+def _det_poly_bareiss(stack: np.ndarray) -> list:
     """Exact det polynomial by fraction-free elimination over Z[x]."""
-    stack = _int_stack(mp)
-    n = mp.size
+    stack = _int_stack(stack)
+    n = stack.shape[1]
     a = [
         [
-            _ptrim([int(stack[l, r, c]) for l in range(mp.entry_degree + 1)])
+            _ptrim([int(stack[l, r, c]) for l in range(len(stack))])
             for c in range(n)
         ]
         for r in range(n)
@@ -176,19 +180,19 @@ def _det_poly_bareiss(mp: MatrixPolynomial) -> list:
     return [sign * c for c in det] if sign < 0 else det
 
 
-def det_poly_exact(mp: MatrixPolynomial, method: str = "interpolate") -> list:
-    """Exact integer coefficients (ascending) of det of an integer-stack matrix.
+def det_poly_exact(stack: np.ndarray, method: str = "interpolate") -> list:
+    """Exact integer coefficients (ascending) of det of a (d+1, N, N) integer stack.
 
     ``method`` selects evaluation/interpolation (default) or fraction-free
     Bareiss elimination; both are exact and must agree.  [] is the zero
     polynomial.  Oracle-scale only: N <= 16.
     """
-    if mp.size > 16:
+    if stack.shape[1] > 16:
         raise ValueError("exact determinant oracle is limited to N <= 16")
     if method == "interpolate":
-        return _det_poly_interpolate(mp)
+        return _det_poly_interpolate(stack)
     if method == "bareiss":
-        return _det_poly_bareiss(mp)
+        return _det_poly_bareiss(stack)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -127,6 +127,22 @@ class TestSolve:
         assert err.startswith("error:") and "pts_b" in err
 
     @pytest.mark.parametrize(
+        "pid, key", [("conic", "C1"), ("conic", "C2"), ("five_point", "pts_a")]
+    )
+    def test_non_numeric_data_exits_1(self, capsys, tmp_path, pid, key, request):
+        template = request.getfixturevalue(f"{pid}_template")
+        problem = get_problem(pid)
+        obj = problem.data_to_json(problem.generate_instance(np.random.default_rng(1))[0])
+        obj[key] = {"a": 1}  # an object where a number array belongs
+        tpl = tmp_path / "tpl.json"
+        tpl.write_text(template_to_json(template))
+        datafile = tmp_path / "instance.json"
+        datafile.write_text(json.dumps(obj))
+        code, _, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
+        assert code == 1
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("recovery", {"0": [7, 5]}),  # past the 4-column basis
@@ -141,6 +157,12 @@ class TestSolve:
             ("deletion", [0.0, 3.0]),
             ("k", None),  # key missing
             (None, None),  # an array, not an object
+            ("recovery", []),  # an array, not an object
+            ("recovery", "x"),
+            ("problem", ["conic"]),  # not a string
+            ("recovery", {"0": [True, 2]}),  # a JSON true is not the index 1
+            ("basis", [[3], [2, 5], [1], [0]]),  # a monomial over 2 variables
+            ("k", 9),  # above N d = 8, the most a 4x4 degree-2 det can reach
         ],
     )
     def test_malformed_template_exits_1(self, capsys, conic_files, key, value):

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from exact_oracles import det_poly_exact
-from resultant_solve.matrixpoly import (
-    MatrixPolynomial,
-    det_complex,
-    evaluate_at,
-)
+from resultant_solve.matrixpoly import det_complex, evaluate_at
+from resultant_solve.spectral import batched_eval
 
-XSWAP = MatrixPolynomial(np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]))
+XSWAP = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
 # [[x, 1], [1, x]]
 
 
@@ -26,8 +23,8 @@ def _cofactor_det(m):
     return total
 
 
-def _random_int_mp(rng, n, d, lo=-5, hi=6):
-    return MatrixPolynomial(rng.integers(lo, hi, size=(d + 1, n, n)).astype(float))
+def _random_int_stack(rng, n, d, lo=-5, hi=6):
+    return rng.integers(lo, hi, size=(d + 1, n, n)).astype(float)
 
 
 def _permutation_parity(perm):
@@ -47,29 +44,28 @@ def _permutation_parity(perm):
     return parity
 
 
-class TestMatrixPolynomial:
-    def test_trailing_zero_slices_dropped(self):
-        mp = MatrixPolynomial(np.stack([np.eye(2), np.zeros((2, 2))]))
-        assert mp.entry_degree == 0
-        assert np.allclose(evaluate_at(mp, 5.0), np.eye(2))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            MatrixPolynomial(np.zeros((2, 3, 4)))
-
-
 class TestEvaluateAt:
+    def test_trailing_zero_slices_change_nothing(self):
+        # a stack whose top slices are zero evaluates and samples exactly
+        # like the stack without them
+        rng = np.random.default_rng(0)
+        stack = rng.standard_normal((3, 4, 4))
+        padded = np.concatenate([stack, np.zeros((2, 4, 4))])
+        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        assert np.array_equal(evaluate_at(padded, z), evaluate_at(stack, z))
+        assert np.array_equal(batched_eval(padded, 8), batched_eval(stack, 8))
+
     def test_swap_matrix_at_i(self):
         got = evaluate_at(XSWAP, 1j)
         assert np.allclose(got, np.array([[1j, 1.0], [1.0, 1j]]))
 
     def test_matches_naive_power_sum(self):
         rng = np.random.default_rng(1)
-        mp = MatrixPolynomial(rng.standard_normal((5, 6, 6)))
+        stack = rng.standard_normal((5, 6, 6))
         for _ in range(50):
             z = complex(rng.standard_normal(), rng.standard_normal())
-            naive = sum(a * z**l for l, a in enumerate(mp.stack))
-            got = evaluate_at(mp, z)
+            naive = sum(a * z**l for l, a in enumerate(stack))
+            got = evaluate_at(stack, z)
             assert np.allclose(got, naive, rtol=1e-13, atol=1e-13)
 
 
@@ -126,25 +122,24 @@ class TestDetPolyExact:
         stack[1] = np.eye(3)
         stack[0, 0, 0] = 1.0
         stack[0, 1, 1] = -1.0
-        mp = MatrixPolynomial(stack)
-        assert det_poly_exact(mp) == [0, -1, 0, 1]
+        assert det_poly_exact(stack) == [0, -1, 0, 1]
 
     def test_methods_agree(self):
         rng = np.random.default_rng(6)
         for n, d in itertools.product((2, 3, 5), (1, 2)):
-            mp = _random_int_mp(rng, n, d)
-            assert det_poly_exact(mp, "interpolate") == det_poly_exact(mp, "bareiss")
+            stack = _random_int_stack(rng, n, d)
+            assert det_poly_exact(stack, "interpolate") == det_poly_exact(stack, "bareiss")
 
     def test_degree_bound_and_generic_equality(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             n, d = int(rng.integers(2, 6)), int(rng.integers(1, 3))
-            mp = _random_int_mp(rng, n, d)
-            coeffs = det_poly_exact(mp)
-            assert len(coeffs) - 1 <= n * mp.entry_degree
+            stack = _random_int_stack(rng, n, d)
+            coeffs = det_poly_exact(stack)
+            assert len(coeffs) - 1 <= n * d
         # generic stacks attain the bound
-        mp = _random_int_mp(np.random.default_rng(8), 4, 2, lo=1, hi=9)
-        assert len(det_poly_exact(mp)) - 1 == 4 * 2
+        stack = _random_int_stack(np.random.default_rng(8), 4, 2, lo=1, hi=9)
+        assert len(det_poly_exact(stack)) - 1 == 4 * 2
 
     def test_identically_zero_determinant(self):
         stack = np.zeros((2, 2, 2))
@@ -152,25 +147,24 @@ class TestDetPolyExact:
         stack[0, 1] = [2.0, 4.0]  # proportional rows
         stack[1, 0] = [3.0, 1.0]
         stack[1, 1] = [6.0, 2.0]
-        mp = MatrixPolynomial(stack)
-        assert det_poly_exact(mp, "interpolate") == []
-        assert det_poly_exact(mp, "bareiss") == []
+        assert det_poly_exact(stack, "interpolate") == []
+        assert det_poly_exact(stack, "bareiss") == []
 
     def test_eval_and_det_commute(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            mp = _random_int_mp(rng, 8, 2, lo=-3, hi=4)
-            coeffs = det_poly_exact(mp)
+            stack = _random_int_stack(rng, 8, 2, lo=-3, hi=4)
+            coeffs = det_poly_exact(stack)
             for _ in range(5):
                 z = complex(rng.standard_normal(), rng.standard_normal())
                 via_poly = sum(c * z**l for l, c in enumerate(coeffs))
-                via_det = det_complex(evaluate_at(mp, z))
+                via_det = det_complex(evaluate_at(stack, z))
                 assert abs(via_det - via_poly) <= 1e-9 * max(1.0, abs(via_poly))
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
-            det_poly_exact(MatrixPolynomial(np.full((1, 2, 2), 0.5)))
+            det_poly_exact(np.full((1, 2, 2), 0.5))
 
     def test_rejects_large_matrices(self):
         with pytest.raises(ValueError):
-            det_poly_exact(MatrixPolynomial(np.ones((1, 17, 17))))
+            det_poly_exact(np.ones((1, 17, 17)))

@@ -6,7 +6,6 @@ import pytest
 
 import equation_oracles
 from exact_oracles import det_poly_exact, zp_det_poly
-from resultant_solve.matrixpoly import MatrixPolynomial
 from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
     SolverTemplate,
@@ -109,7 +108,7 @@ class TestModularArithmetic:
             for _ in range(5):
                 n, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
                 stack = rng.integers(-5, 6, size=(d + 1, n, n))
-                exact = det_poly_exact(MatrixPolynomial(stack.astype(float)))
+                exact = det_poly_exact(stack.astype(float))
                 got = det_modular(_to_modular(stack, prime), prime)
                 want = [c % prime for c in exact]
                 while want and want[-1] == 0:
@@ -167,8 +166,7 @@ class TestDetectDegree:
         rng = np.random.default_rng(2)
         for _ in range(5):
             c1, c2 = rng.integers(1, 9, size=(2, 3, 3)).astype(float)
-            mp = MatrixPolynomial(conic.matrix_stack(c1, c2))
-            assert len(det_poly_exact(mp)) - 1 == 4
+            assert len(det_poly_exact(conic.matrix_stack(c1, c2))) - 1 == 4
 
     def test_five_point_degree_ten(self):
         assert detect_degree(specialize(get_problem("five_point"), 0)) == 10
@@ -219,15 +217,14 @@ class TestFindDeletionPair:
     def test_generic_matrix_accepted_immediately(self):
         rng = np.random.default_rng(4)
         stack = rng.integers(1, 9, size=(3, 5, 5)).astype(float)
-        mp = MatrixPolynomial(stack)
         # generic minors share no factor: the first scanned pair wins,
         # which is row 0 of the lowest-degree basis column
         assert _deletion(_ToyBuilder(stack)) == (0, 4)
         # exact oracle over Q: both the scanned and the (0, 0) minor are
         # coprime with the determinant
-        full = det_poly_exact(mp)
+        full = det_poly_exact(stack)
         for cols in (slice(1, None), slice(0, 4)):
-            minor = det_poly_exact(MatrixPolynomial(stack[:, 1:, cols]))
+            minor = det_poly_exact(stack[:, 1:, cols])
             assert _exact_gcd_degree(full, minor) == 0
 
     def test_row_dependency_pairs_rejected(self):
@@ -412,24 +409,19 @@ class TestSolutionCountOracles:
         from resultant_solve.matrixpoly import det_complex, evaluate_at
         from resultant_solve.recover import cramer_ratios
         from resultant_solve.rootfind import roots
-        from resultant_solve.spectral import (
-            UnivariatePolynomial,
-            batched_eval,
-            recover_coefficients,
-            trim,
-        )
+        from resultant_solve.spectral import batched_eval, recover_coefficients, trim
 
         problem = get_problem(pid)
         template = build_template(problem, 7)
         for seed in (0, 1, 2):
             data, _ = problem.generate_instance(np.random.default_rng([71, seed]))
-            mp = problem.build(data)
-            samples = det_complex(batched_eval(mp, template.k))
-            det_poly = trim(UnivariatePolynomial(recover_coefficients(samples).coeffs))
-            assert det_poly.degree == template.k
+            stack = problem.build(data)
+            samples = det_complex(batched_eval(stack, template.k))
+            det_poly = trim(recover_coefficients(samples))
+            assert len(det_poly) - 1 == template.k
             hidden = roots(det_poly)
             values, _ = cramer_ratios(
-                evaluate_at(mp, hidden), template.deletion_pair, template.recovery_pairs
+                evaluate_at(stack, hidden), template.deletion_pair, template.recovery_pairs
             )
             for root, recovered in zip(hidden, values):
                 point = [0j] * problem.n_vars

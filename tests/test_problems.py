@@ -27,8 +27,7 @@ def _basis_values(problem, point):
 
 
 def _matrix_residual(problem, data, point):
-    mp = problem.build(data)
-    m = evaluate_at(mp, point[problem.hidden_index])
+    m = evaluate_at(problem.build(data), point[problem.hidden_index])
     return np.abs(m @ _basis_values(problem, point))
 
 
@@ -46,20 +45,21 @@ class TestConic:
     def test_builder_shape(self):
         problem = get_problem("conic")
         data, _ = problem.generate_instance(np.random.default_rng(0))
-        mp = problem.build(data)
-        assert (mp.size, mp.entry_degree) == (4, 2)
+        stack = problem.build(data)
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+        assert stack.shape == (3, 4, 4)
 
     def test_matrix_form_is_an_identity(self):
         # M(y) b(x) reproduces (x f1, f1, x f2, f2) for arbitrary (x, y)
         problem = get_problem("conic")
         rng = np.random.default_rng(1)
         data = problem.generate_instance(rng)[0]
-        mp = problem.build(data)
+        stack = problem.build(data)
         for _ in range(20):
             x, y = rng.uniform(-2, 2, size=2)
             f1, f2 = equation_oracles.conic_values(data, (x, y))
             want = np.array([x * f1, f1, x * f2, f2])
-            got = evaluate_at(mp, y) @ _basis_values(problem, (x, y))
+            got = evaluate_at(stack, y) @ _basis_values(problem, (x, y))
             scale = max(1.0, np.abs(want).max())
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -92,8 +92,8 @@ class TestConic:
         # xy - 1 has no x^2 term but the pair still builds (N stays 4)
         c1 = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -2.0]])
         c2 = np.array([[0.0, 0.5, 0], [0.5, 0.0, 0], [0, 0, -1.0]])
-        mp = get_problem("conic").build(ConicPairData(c1, c2))
-        assert mp.size == 4
+        stack = get_problem("conic").build(ConicPairData(c1, c2))
+        assert stack.shape[-1] == 4
 
     def test_recovers_prescribed_intersections(self, conic_template):
         problem = get_problem("conic")
@@ -120,19 +120,20 @@ class TestFivePoint:
     def test_builder_shape(self):
         problem = get_problem("five_point")
         data, _ = problem.generate_instance(np.random.default_rng(0))
-        mp = problem.build(data)
-        assert (mp.size, mp.entry_degree) == (10, 3)
+        stack = problem.build(data)
+        assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+        assert stack.shape == (4, 10, 10)
 
     def test_matrix_form_is_an_identity(self):
         # M(z) b(x, y) equals the ten cubic values for arbitrary (x, y, z)
         problem = get_problem("five_point")
         rng = np.random.default_rng(1)
         data = problem.generate_instance(rng)[0]
-        mp = problem.build(data)
+        stack = problem.build(data)
         for _ in range(20):
             pt = rng.uniform(-2, 2, size=3)
             want = equation_oracles.values("five_point", data, pt)
-            got = evaluate_at(mp, pt[2]) @ _basis_values(problem, pt)
+            got = evaluate_at(stack, pt[2]) @ _basis_values(problem, pt)
             scale = max(1.0, np.abs(want).max())
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -193,8 +194,8 @@ class TestFivePoint:
             [rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5), np.full(5, 5.0)]
         )
         data = FivePointData(pts3d, pts3d @ rot.T + t)
-        mp = get_problem("five_point").build(data)
-        assert mp.size == 10
+        stack = get_problem("five_point").build(data)
+        assert stack.shape[-1] == 10
         result = solve_online(five_point_template, data)
         assert len(result.accepted) <= 10
 
