@@ -1,5 +1,10 @@
 """Command-line front end: offline template generation, solving, benchmarks.
 
+``bench --jobs N`` splits the trials into contiguous index ranges over up
+to N processes, the calling one included, capped by the CPU count and the
+number of trials. Trials are seeded by (seed, index), so results never
+depend on N.
+
 Exit codes: 0 ok, 1 usage or I/O error, 2 offline template failure.
 """
 
@@ -7,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,26 +80,43 @@ def _run_trial(template, problem, seed: int, index: int) -> dict:
     }
 
 
+def _run_chunk(problem_id: str, template, seed: int, indices: range) -> list:
+    # plain picklable arguments only (a Problem may hold closures), so the
+    # process that runs the range looks the problem up itself
+    problem = get_problem(problem_id)
+    return [_run_trial(template, problem, seed, i) for i in indices]
+
+
+def _chunks(trials: int, jobs: int) -> list:
+    """Contiguous trial index ranges, one per process: min(jobs, trials, CPUs)."""
+    n = min(jobs, trials, os.cpu_count() or 1)
+    bounds = [trials * c // n for c in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def run_bench(
     problem_id: str, trials: int, seed: int, jobs: int = 1
 ) -> tuple[BenchReport, np.ndarray]:
     """Benchmark one problem; returns the report and the histogram counts.
 
     Trials are independent and seeded by (seed, trial index), so the jobs
-    count never changes the results; records are merged by trial index.
+    count never changes the results. The calling process solves the first
+    index range itself and worker processes solve the others; records are
+    concatenated in index order, and every worker is joined before return.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     problem = get_problem(problem_id)
     template = build_template(problem, seed)
-    indices = range(trials)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(lambda i: _run_trial(template, problem, seed, i), indices)
-            )
-    else:
-        records = [_run_trial(template, problem, seed, i) for i in indices]
+    first, *rest = _chunks(trials, jobs)
+    # a single range runs in this process alone, without a pool
+    with ProcessPoolExecutor(max_workers=len(rest)) if rest else nullcontext() as pool:
+        futures = [pool.submit(_run_chunk, problem_id, template, seed, c) for c in rest]
+        records = _run_chunk(problem_id, template, seed, first)
+        for future in futures:
+            records += future.result()
 
     all_residuals: list = []
     best_logs: list = []

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -215,7 +218,9 @@ class TestBench:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_solve_errors_count_and_other_errors_propagate(self, monkeypatch, jobs):
         # a SolveError is a failed trial; any other exception is a bug and
-        # must reach the caller, also through the thread pool
+        # must reach the caller, also from a worker process. The monkeypatch
+        # reaches the workers because they are forked, the default start
+        # method on Linux up to Python 3.13.
         calls = []
 
         def failing(template, data):
@@ -224,7 +229,10 @@ class TestBench:
 
         monkeypatch.setattr(cli, "solve_online", failing)
         report, _ = cli.run_bench("conic", 4, 0, jobs)
-        assert report.fail_percent == 100.0 and len(calls) == 4
+        # `calls` sees only this process's trials; the report counts them all
+        assert report.trials == 4 and report.fail_percent == 100.0
+        if jobs == 1:
+            assert len(calls) == 4
 
         def broken(template, data):
             raise ZeroDivisionError("bug in a trial")
@@ -232,6 +240,99 @@ class TestBench:
         monkeypatch.setattr(cli, "solve_online", broken)
         with pytest.raises(ZeroDivisionError, match="bug in a trial"):
             cli.run_bench("conic", 4, 0, jobs)
+
+    @pytest.fixture()
+    def two_cpus(self, monkeypatch):
+        # so that jobs=2 starts a worker process also on a one-CPU machine
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def _untimed(report) -> dict:
+        fields = dict(vars(report))
+        del fields["mean_time_us"]
+        return fields
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_jobs_do_not_change_reports(self, two_cpus, pid):
+        report1, counts1 = cli.run_bench(pid, 24, 5, 1)
+        report2, counts2 = cli.run_bench(pid, 24, 5, 2)
+        assert self._untimed(report1) == self._untimed(report2)
+        assert np.array_equal(counts1, counts2)
+
+    def test_worker_error_reaches_caller(self, two_cpus, monkeypatch):
+        # raised only in the worker process (reached by fork, as above)
+        caller = os.getpid()
+
+        def broken_in_worker(template, data):
+            if os.getpid() != caller:
+                raise ZeroDivisionError("bug in a worker's trial")
+            raise cli.SolveError("degenerate instance: test")
+
+        monkeypatch.setattr(cli, "solve_online", broken_in_worker)
+        with pytest.raises(ZeroDivisionError, match="bug in a worker's trial"):
+            cli.run_bench("conic", 4, 0, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_run_bench(self, two_cpus, monkeypatch):
+        cli.run_bench("conic", 4, 0, 2)
+        assert multiprocessing.active_children() == []
+
+        def broken(template, data):
+            raise ZeroDivisionError("bug in a trial")
+
+        monkeypatch.setattr(cli, "solve_online", broken)
+        with pytest.raises(ZeroDivisionError):
+            cli.run_bench("conic", 4, 0, 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs_rejected(self, capsys, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            cli.run_bench("conic", 4, 0, jobs)
+        code, out, err = _run(
+            capsys, ["bench", "conic", "--trials", "4", "--jobs", str(jobs)]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "jobs" in err
+
+    def test_chunks_are_contiguous_and_capped(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        for trials, jobs, n in [(1000, 2, 2), (5, 100000, 5), (1000, 100000, 8), (7, 3, 3)]:
+            chunks = cli._chunks(trials, jobs)
+            assert len(chunks) == n
+            assert [i for c in chunks for i in c] == list(range(trials))
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._chunks(10, 4) == [range(10)]
+
+    @pytest.mark.parametrize("cpus, trials, workers", [(8, 50, 7), (8, 3, 2), (2, 50, 1)])
+    def test_pool_size_capped(self, monkeypatch, cpus, trials, workers):
+        # a stand-in executor records its size and runs chunks inline, so a
+        # huge --jobs is checked without starting any process
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        report, counts = cli.run_bench("conic", trials, 1, 100000)
+        assert sizes == [workers]
+        reference, ref_counts = cli.run_bench("conic", trials, 1, 1)
+        assert self._untimed(report) == self._untimed(reference)
+        assert np.array_equal(counts, ref_counts)
 
     def test_histogram_counts_sum(self, capsys, tmp_path):
         hist = tmp_path / "hist.csv"
