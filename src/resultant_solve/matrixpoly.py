@@ -6,7 +6,8 @@ point z is the matrix Horner sum  sum_l A_l z^l.  The problem builders
 return such stacks and every online stage reads them directly.
 
 ``det_complex`` is the floating-point determinant via pivoted LU (LAPACK)
-that the online sampling pipeline applies, batched, to matrix stacks.  The
+that the online stage applies, batched, to matrix stacks: complex ones at
+the unit-circle samples, real ones at the real candidate roots.  The
 exact integer determinant oracle the tests check it against lives in
 ``tests/exact_oracles.py``; the offline stage's exact determinants work
 over Z_p (``offline.det_modular``).
@@ -21,9 +22,11 @@ def evaluate_at(stack: np.ndarray, z) -> np.ndarray:
     """Entrywise Horner evaluation of the (d+1, N, N) stack at z.
 
     A scalar z gives one (N, N) matrix; an array of points gives one matrix
-    per point, stacked as (..., N, N).
+    per point, stacked as (..., N, N).  Real points give a float64 result,
+    complex points a complex one.
     """
-    z = np.asarray(z, dtype=complex)[..., None, None]
+    z = np.asarray(z)
+    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)[..., None, None]
     result = stack[-1] + np.zeros_like(z)
     for a in stack[-2::-1]:
         result = result * z + a
@@ -33,8 +36,9 @@ def evaluate_at(stack: np.ndarray, z) -> np.ndarray:
 def det_complex(m: np.ndarray):
     """Determinant(s) by LU elimination with partial pivoting.
 
-    Accepts one (N, N) matrix or a stack (..., N, N); stacked input yields
-    one determinant per slice in a single batched call.
+    Accepts one (N, N) matrix or a stack (..., N, N), real or complex;
+    stacked input yields one determinant per slice in a single batched
+    call, in the input's dtype.  A single matrix gives a Python complex.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:

@@ -16,16 +16,23 @@ class Problem:
 
     ``basis`` lists the column monomials as exponent tuples over the
     non-hidden variables (original variable order with the hidden one
-    removed).  ``build(data)`` returns the instance's matrix polynomial as
-    its float64 (d+1, N, N) coefficient stack; ``modular_matrix(rng, p)``
-    returns a random instance of the matrix over Z_p as a (d+1, N, N)
-    ``object`` stack of Python ints.
+    removed).  ``original_equations(data)`` writes the instance's equations
+    as a dense ``PolynomialSystem``, and ``build(equations)`` turns that
+    system into the matrix polynomial's float64 (d+1, N, N) coefficient
+    stack, so the online stage runs the data-dependent work (for
+    ``five_point``, an SVD) once.  ``modular_matrix(rng, p)`` returns a
+    random instance of the matrix over Z_p as a (d+1, N, N) ``object``
+    stack of Python ints.  ``equation_rows`` names the matrix rows that
+    are the original equations: row i of M(z) times the basis monomials
+    v(x) is one equation, which is how the online stage scores its
+    candidates.
     """
 
     problem_id: str
     n_vars: int
     hidden_index: int
     basis: tuple
+    equation_rows: tuple
     expected_solutions: int
     build: Callable
     modular_matrix: Callable

@@ -20,6 +20,9 @@ from .sylvester import sylvester_stack
 
 HIDDEN_INDEX = 1  # y is hidden; x is eliminated by the Sylvester matrix
 BASIS = ((3,), (2,), (1,), (0,))
+# Sylvester rows 0 and 2 are x f1 and x f2; rows 1 and 3 are f1 and f2
+# with exactly _conic_row's coefficients
+EQUATION_ROWS = (1, 3)
 EXPECTED_SOLUTIONS = 4
 
 # both leading x^2 coefficients (near-)zero: the Sylvester determinant
@@ -57,43 +60,60 @@ MONOMIALS = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)])
 
 
 def _conic_row(c: np.ndarray) -> list:
-    return [c[0, 0], 2.0 * c[0, 1], c[1, 1], 2.0 * c[0, 2], 2.0 * c[1, 2], c[2, 2]]
+    return [c[0, 0], 2 * c[0, 1], c[1, 1], 2 * c[0, 2], 2 * c[1, 2], c[2, 2]]
 
 
 def original_equations(data: ConicPairData) -> PolynomialSystem:
     return PolynomialSystem([_conic_row(data.c1), _conic_row(data.c2)], MONOMIALS)
 
 
-def _x_coefficients(c: np.ndarray) -> np.ndarray:
-    """Coefficients of x^2, x, 1 (rows) as polynomials in y (ascending).
+_ZERO = 12  # index of the zero appended to the two conic rows
 
-    Reads the upper triangle of ``c`` only.
+
+def _sylvester_layout() -> np.ndarray:
+    """(3, 4, 4) index of each entry of M(y) into [f1 row, f2 row, 0].
+
+    A conic's coefficients of x^2, x, 1 (rows) as polynomials in y
+    (ascending) are entries of its row over MONOMIALS, or zero.
     """
-    return np.array(
-        [
-            [c[0, 0], 0, 0],
-            [2 * c[0, 2], 2 * c[0, 1], 0],
-            [c[2, 2], 2 * c[1, 2], c[1, 1]],
-        ],
-        dtype=c.dtype,
-    )
+    first = np.array([[0, _ZERO, _ZERO], [3, 1, _ZERO], [5, 4, 2]])
+    second = np.where(first == _ZERO, _ZERO, first + 6)
+    # shifted by one so that index 0 differs from sylvester_stack's padding
+    layout = sylvester_stack(first + 1, second + 1) - 1
+    return np.where(layout < 0, _ZERO, layout)
+
+
+_LAYOUT = _sylvester_layout()
+
+
+def _rows_stack(rows: np.ndarray) -> np.ndarray:
+    """(3, 4, 4) stack of M(y) from the (2, 6) conic rows over MONOMIALS.
+
+    Sylvester rows 1 and 3 are the two conic rows; the stack keeps their
+    dtype.
+    """
+    return np.append(rows, 0)[_LAYOUT]
 
 
 def matrix_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """(3, 4, 4) coefficient stack of M(y) for two 3x3 conic matrices.
 
-    Ring-agnostic: floats give the online matrix, Python ints in an
-    ``object`` array give the exact one; the stack keeps their dtype.
+    Reads the upper triangles only.  Ring-agnostic: floats give the online
+    matrix, Python ints in an ``object`` array give the exact one; the
+    stack keeps their dtype.
     """
-    return sylvester_stack(_x_coefficients(c1), _x_coefficients(c2))
+    rows = [_conic_row(c1), _conic_row(c2)]
+    return _rows_stack(np.array(rows, dtype=np.result_type(c1, c2)))
 
 
-def build(data: ConicPairData) -> np.ndarray:
-    if max(abs(data.c1[0, 0]), abs(data.c2[0, 0])) < LEADING_TOL:
+def build(equations: PolynomialSystem) -> np.ndarray:
+    """M(y) of the two conics that ``original_equations`` returns."""
+    rows = equations.coeffs
+    if max(abs(rows[0, 0]), abs(rows[1, 0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"
         )
-    return matrix_stack(data.c1, data.c2)
+    return _rows_stack(rows)
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -172,6 +192,7 @@ PROBLEM = Problem(
     n_vars=2,
     hidden_index=HIDDEN_INDEX,
     basis=BASIS,
+    equation_rows=EQUATION_ROWS,
     expected_solutions=EXPECTED_SOLUTIONS,
     build=build,
     modular_matrix=modular_matrix,

@@ -23,6 +23,7 @@ BASIS = (
     (3, 0), (0, 3), (2, 1), (1, 2), (2, 0),
     (0, 2), (1, 1), (1, 0), (0, 1), (0, 0),
 )
+EQUATION_ROWS = tuple(range(10))  # one matrix row per cubic
 EXPECTED_SOLUTIONS = 10
 
 RANK_TOL = 1e-9
@@ -69,12 +70,14 @@ def _levi_civita() -> np.ndarray:
 
 _SCATTER = _scatter_matrix()
 _LEVI_CIVITA = _levi_civita()
+# the online path's float copies; exact ``object`` input casts per call
+_FLOAT_TABLES = (_LEVI_CIVITA.astype(float), _SCATTER.astype(float))
 
 # cubic monomial -> (column in BASIS, z power) for the hidden-variable split
 _BASIS_IDX = {e: i for i, e in enumerate(BASIS)}
 _COL_OF_MON3 = np.array([_BASIS_IDX[(a, b)] for a, b, _ in MON3])
 _ZPOW_OF_MON3 = np.array([c for _, _, c in MON3])
-_EQUATIONS = np.arange(10)[:, None]  # one matrix row per cubic
+_EQUATIONS = np.array(EQUATION_ROWS)[:, None]
 
 
 def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
@@ -88,11 +91,15 @@ def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
     exact ``object`` arrays of Python ints alike.
     """
     e = np.asarray(e_basis)
+    if e.dtype == np.float64:
+        levi_civita, scatter = _FLOAT_TABLES
+    else:
+        levi_civita, scatter = _LEVI_CIVITA.astype(e.dtype), _SCATTER.astype(e.dtype)
     rows = e.reshape(12, 3)  # row r of E_a at 3a + r
     flat = e.reshape(4, 9)
     # E_b[1] (x) E_c[2] for every (b, c), contracted to cross products
     outer = (e[:, None, 1, :, None] * e[None, :, 2, None, :]).reshape(16, 9)
-    det = (e[:, 0] @ _LEVI_CIVITA.astype(e.dtype)) @ outer.T  # [a, 4b + c]
+    det = (e[:, 0] @ levi_civita) @ outer.T  # [a, 4b + c]
     # (E_a E_b^T)[r, s] at [12a + 4r + b, s], then times E_c[s, col]
     gram = (rows @ rows.T).reshape(48, 3)
     eet_e = (gram @ e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
@@ -100,7 +107,7 @@ def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
     trace = flat @ flat.T  # tr(E_a E_b^T)
     trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
     forms = np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
-    return forms @ _SCATTER.astype(e.dtype)
+    return forms @ scatter
 
 
 def _nullspace_basis(data: "FivePointData") -> np.ndarray:
@@ -136,20 +143,29 @@ class FivePointData:
             object.__setattr__(self, name, pts / norms[:, None])
 
 
+def _cubics_stack(cubics: np.ndarray) -> np.ndarray:
+    """(4, 10, 10) stack of M(z) from the (10, 20) cubics over MON3.
+
+    Row i of M(z) is cubic i split by powers of z; the stack keeps the
+    dtype of ``cubics``.
+    """
+    stack = np.zeros((4, 10, 10), dtype=cubics.dtype)
+    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = cubics
+    return stack
+
+
 def matrix_stack(e_basis: np.ndarray) -> np.ndarray:
     """(4, 10, 10) coefficient stack of M(z) for a (4, 3, 3) E-basis.
 
     Ring-agnostic like ``constraint_vectors``: the stack keeps the dtype
     of ``e_basis``.
     """
-    e = np.asarray(e_basis)
-    stack = np.zeros((4, 10, 10), dtype=e.dtype)
-    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = constraint_vectors(e)
-    return stack
+    return _cubics_stack(constraint_vectors(np.asarray(e_basis)))
 
 
-def build(data: FivePointData) -> np.ndarray:
-    return matrix_stack(_nullspace_basis(data))
+def build(equations: PolynomialSystem) -> np.ndarray:
+    """M(z) of the ten cubics that ``original_equations`` returns."""
+    return _cubics_stack(equations.coeffs)
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -230,6 +246,7 @@ PROBLEM = Problem(
     n_vars=3,
     hidden_index=HIDDEN_INDEX,
     basis=BASIS,
+    equation_rows=EQUATION_ROWS,
     expected_solutions=EXPECTED_SOLUTIONS,
     build=build,
     modular_matrix=modular_matrix,

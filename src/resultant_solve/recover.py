@@ -1,18 +1,21 @@
 """Online stage: from instance data to verified solutions.
 
 One solve executes the whole sampling pipeline as a chain of plain
-arrays: build the (d+1, N, N) coefficient stack of the matrix polynomial,
+arrays: write out the instance's original equations, build from their
+coefficients the (d+1, N, N) coefficient stack of the matrix polynomial,
 evaluate it at the unit-circle points with one FFT, take the batched
 determinants, recover the determinant's coefficient array via IFFT, trim
-it, and root it through its companion matrix.  Back-
-substitution then runs on all real candidate roots at once: one Horner
-pass evaluates the matrix at every root, and every Cramer-rule ratio of
-every root comes from one batched LU call on a stack of column-replaced
+it, and root it through its companion matrix.  Back-substitution then
+runs on all real candidate roots at once, in float64: one Horner pass
+evaluates the matrix at every root, and every Cramer-rule ratio of every
+root comes from one batched LU call on a stack of column-replaced
 submatrices.  Only roots whose deletion submatrix is singular retry the
-alternate deletion pairs.  One residual pass against the original
-equations scores all candidates, and the small ones are kept.  No step
-forms a matrix inverse or solves a linear system through one; every
-quantity is a ratio of determinants.
+alternate deletion pairs.  The original equations are rows of the matrix
+(the problem names them in ``equation_rows``), so each candidate's
+residual is read from M(z) v(x) at its root, with no second pass over the
+equations, and the small ones are kept.  No step forms a matrix inverse
+or solves a linear system through one; every quantity is a ratio of
+determinants.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .rootfind import real_candidates, roots
 from .spectral import batched_eval, recover_coefficients, trim
 
 RESIDUAL_FAIL_THRESHOLD = 1e-3
-COORDINATE_IM_TOL = 1e-6
 # multiplicity-2 roots split by ~sqrt(machine eps) ~ 1e-8, so the merge
 # tolerance must sit above that to collapse them into one solution
 DUPLICATE_TOL = 1e-7
@@ -45,7 +47,8 @@ class CandidateSolution:
     """A full solution vector with its normalized residual.
 
     The residual is max_i |f_i(x)| over the original equations divided by
-    the Euclidean norm of x, recomputed from the input system.
+    the Euclidean norm of x, read from the equation rows of the matrix at
+    the candidate's hidden value.
     """
 
     x: np.ndarray
@@ -75,16 +78,17 @@ def cramer_ratios(
     column's monomial.  All 2W determinants of all R roots are one batched
     LU call on an (R, 2W, N-1, N-1) stack.
 
-    Returns (values, singular), both (R, W): the ratios, and whether the
-    denominator fell below SINGULAR_FLOOR (the value is then meaningless).
+    Returns (values, singular), both (R, W): the ratios, in the dtype of
+    ``m_at_roots`` (float64 at real roots), and whether the denominator
+    fell below SINGULAR_FLOOR (the value is then meaningless).
     """
     i, j = deletion_pair
     size = m_at_roots.shape[-1]
     for pair in recovery_pairs.values():
         if any(c == j or not 0 <= c < size for c in pair):
             raise ValueError(f"recovery pair {pair} out of range or deleted")
-    rows = np.delete(np.arange(size), i)
-    cols = np.delete(np.arange(size), j)
+    index = np.arange(size)
+    rows, cols = index[index != i], index[index != j]
     sub = m_at_roots[:, rows[:, None], cols]
     rhs = -m_at_roots[:, rows, j]
     replaced = [c - (c > j) for w in sorted(recovery_pairs) for c in recovery_pairs[w]]
@@ -94,18 +98,6 @@ def cramer_ratios(
     numer, denom = dets[..., 0], dets[..., 1]
     singular = np.abs(denom) < SINGULAR_FLOOR
     return numer / np.where(singular, 1.0, denom), singular
-
-
-def _first_failure(values: np.ndarray, singular: np.ndarray) -> tuple:
-    """Per root: whether a variable failed, and whether the first was singular.
-
-    Variables are checked in order; the first one that is singular or has
-    a non-real value decides the root's fate.
-    """
-    nonreal = np.abs(values.imag) > COORDINATE_IM_TOL * (1.0 + np.abs(values.real))
-    failed = singular | nonreal
-    first = failed.argmax(axis=1)
-    return failed.any(axis=1), singular[np.arange(len(values)), first]
 
 
 def _fallback_deletions(template: SolverTemplate) -> list:
@@ -133,18 +125,32 @@ def _fallback_deletions(template: SolverTemplate) -> list:
     return options
 
 
+def equation_values(
+    m_at_roots: np.ndarray, basis: tuple, points: np.ndarray, rows: tuple
+) -> np.ndarray:
+    """The original equations at R candidates, read from the matrix rows.
+
+    ``m_at_roots`` is the (R, N, N) matrix at the candidates' hidden values
+    and ``points`` the (R, n-1) non-hidden coordinates, in ``basis``
+    order.  Each of ``rows`` times the basis monomials v(x) is one
+    original equation, so the result is (R, len(rows)).
+    """
+    monomials = np.prod(points[:, None, :] ** np.asarray(basis), axis=-1)
+    return (m_at_roots @ monomials[..., None])[:, list(rows), 0]
+
+
 def _assemble_candidates(
     stack: np.ndarray,
     template: SolverTemplate,
     hidden_values: np.ndarray,
-    system,
+    rows: tuple,
 ) -> list:
     """Back-substituted candidate vectors with their normalized residuals.
 
-    A root whose first failing variable has a non-real value is discarded.
-    A root whose first failing variable is singular retries the alternate
-    deletion pairs one at a time until one gives real values (kept), hits a
-    non-real value (discarded) or the alternates run out (discarded).
+    A root whose template deletion pair is singular for some variable
+    retries the alternate deletion pairs one at a time until one is
+    non-singular for every variable (kept) or the alternates run out
+    (discarded).  The residual is max over ``rows`` of |M(z) v(x)| / |x|.
     """
     if not len(hidden_values):
         return []
@@ -152,29 +158,27 @@ def _assemble_candidates(
     values, singular = cramer_ratios(
         m_at_roots, template.deletion_pair, template.recovery_pairs
     )
-    failed, retry = _first_failure(values, singular)
     recovered = [w for w in range(template.n_vars) if w != template.hidden_index]
     coords = np.empty((len(hidden_values), template.n_vars))
     coords[:, template.hidden_index] = hidden_values
-    coords[:, recovered] = values.real
-    keep = ~failed
+    coords[:, recovered] = values
+    keep = ~singular.any(axis=1)
     fallback: list | None = None  # built only if the template pair degenerates
-    for root in np.flatnonzero(retry):
+    for root in np.flatnonzero(~keep):
         if fallback is None:
             fallback = _fallback_deletions(template)
         for pair, pairs in fallback:
             values, singular = cramer_ratios(m_at_roots[root : root + 1], pair, pairs)
-            (bad,), (again,) = _first_failure(values, singular)
-            if not bad:
-                coords[root, recovered] = values[0].real
+            if not singular.any():
+                coords[root, recovered] = values[0]
                 keep[root] = True
-            if not (bad and again):
                 break
     vecs = coords[keep]
     if not len(vecs):
         return []
+    equations = equation_values(m_at_roots[keep], template.basis, vecs[:, recovered], rows)
     norms = np.linalg.norm(vecs, axis=1)
-    residuals = system.max_abs_residual(vecs) / np.where(norms > 0.0, norms, 1.0)
+    residuals = np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
     return [CandidateSolution(x, float(res)) for x, res in zip(vecs, residuals)]
 
 
@@ -196,7 +200,7 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
     """Run the full online stage for one instance."""
     problem = get_problem(template.problem_id)
     try:
-        stack = problem.build(data)
+        stack = problem.build(problem.original_equations(data))
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
     if stack.shape[-1] != template.size:
@@ -224,8 +228,9 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
 
     all_roots = roots(det_poly)
     hidden_values = real_candidates(all_roots)
-    system = problem.original_equations(data)
-    candidates = _assemble_candidates(stack, template, hidden_values, system)
+    candidates = _assemble_candidates(
+        stack, template, hidden_values, problem.equation_rows
+    )
     candidates.sort(key=lambda c: (c.residual, tuple(c.x)))
     kept = _deduplicate(candidates)
 

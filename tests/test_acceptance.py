@@ -205,7 +205,7 @@ def test_criterion_7_rank_deficiency_witness(conic_template, five_point_template
         i, j = template.deletion_pair
         for seed in range(100):
             data, _ = problem.generate_instance(np.random.default_rng([31, seed]))
-            stack = problem.build(data)
+            stack = problem.build(problem.original_equations(data))
             result = solve_online(template, data)
             for cand in result.accepted:
                 m = evaluate_at(stack, cand.x[template.hidden_index])

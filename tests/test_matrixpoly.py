@@ -59,6 +59,17 @@ class TestEvaluateAt:
         got = evaluate_at(XSWAP, 1j)
         assert np.allclose(got, np.array([[1j, 1.0], [1.0, 1j]]))
 
+    def test_real_points_stay_real(self):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((4, 3, 3))
+        z = rng.standard_normal(6)
+        real = evaluate_at(stack, z)
+        assert real.dtype == np.float64 and real.shape == (6, 3, 3)
+        assert evaluate_at(stack, 2).dtype == np.float64
+        cplx = evaluate_at(stack, z.astype(complex))
+        assert cplx.dtype == np.complex128
+        assert np.array_equal(cplx.real, real) and not cplx.imag.any()
+
     def test_matches_naive_power_sum(self):
         rng = np.random.default_rng(1)
         stack = rng.standard_normal((5, 6, 6))

@@ -1,0 +1,133 @@
+"""Metamorphic relations: transformed inputs whose answers are known exactly.
+
+A change that moves results at rounding level cannot be judged by bitwise
+equality with its parent, and a solver that silently drops real
+solutions still passes a residual gate.  Each relation here transforms an
+instance so that the exact solution set is unchanged (or changes in a
+known way), solves both, and compares.  The comparison is made in a
+frame both solves share: points for ``conic``, unit-norm essential
+matrices for ``five_point``, whose (x, y, z) coordinates live in a
+nullspace basis that changes with the input.
+
+Each relation bounds three things: the number of instances whose two
+solves accept different counts, the median distance between the two
+solution sets, and the worst distance.  The median is the sensitive one:
+it sits near rounding level and moves by orders of magnitude when
+back-substitution loses precision.  The worst distance comes from the
+few ill-conditioned instances, and both it and the mismatch count depend
+on the LAPACK kernels numpy runs on.  Each limit is therefore set from
+the solver as it was when the relation was added, measured under five
+OpenBLAS kernels (``OPENBLAS_CORETYPE`` = SkylakeX, Haswell, Sandybridge,
+Nehalem and Prescott, numpy 2.4.6 with OpenBLAS 0.3.31, Python 3.11):
+the comment next to each limit gives the spread, and the limit sits above
+the worst of them.  A later change may tighten a limit; it may loosen one
+only after measuring the unchanged solver above it on a new platform.
+Both relations also require every instance to accept a solution, so a
+solver that rejects everything cannot pass them vacuously.
+
+Mutations the relations were checked against, each on a deliberately
+broken copy of the code:
+
+- back-substitution at the real roots in float32 (Horner and Cramer):
+  the ``conic`` swap's median distance becomes 6.0e-8, and the
+  ``five_point`` count differs in 102 of 400 instances, with a median
+  distance of 5.0e-6;
+- back-substitution that skips the last Cramer variable (x for
+  ``conic``, y for ``five_point``): both fail, because every candidate is
+  then rejected;
+- an epipolar matrix that pairs each point of view b with the previous
+  point of view a: the solver then solves a consistent but wrong system
+  whose answer depends on the order of the correspondences, and the
+  ``five_point`` count differs in 208 of 400 instances.  The ``conic``
+  swap does not involve this code.
+"""
+
+import numpy as np
+
+from resultant_solve.problems import get_problem
+from resultant_solve.problems.conic import ConicPairData
+from resultant_solve.problems.five_point import FivePointData, _nullspace_basis
+from resultant_solve.recover import SolveError, solve_online
+
+SEED = 73
+
+CONIC_INSTANCES = 500
+CONIC_MAX_MISMATCHES = 0  # measured 0 under every kernel
+CONIC_MAX_MEDIAN_DISTANCE = 1e-13  # measured 2.6e-15 .. 2.0e-14
+CONIC_MAX_DISTANCE = 1.5e-7  # measured 5.6e-8 .. 1.15e-7
+
+FIVE_POINT_INSTANCES = 400
+FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
+FIVE_POINT_MAX_MEDIAN_DISTANCE = 1e-10  # measured 1.6e-11 .. 2.1e-11
+FIVE_POINT_MAX_DISTANCE = 6e-4  # measured 3.3e-5 .. 4.0e-4
+
+
+def _accepted(template, data) -> list:
+    try:
+        return [c.x for c in solve_online(template, data).accepted]
+    except SolveError:
+        return []
+
+
+def _set_distance(a: list, b: list) -> float:
+    """Symmetric Hausdorff distance between two equal-size vector sets, max-abs."""
+    d = np.abs(np.array(a)[:, None] - np.array(b)[None]).max(axis=-1)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _essentials(data, xs: list) -> list:
+    """Each solution's E = x E1 + y E2 + z E3 + E4, unit norm, largest entry positive."""
+    basis = _nullspace_basis(data).reshape(4, 9)
+    out = []
+    for x in xs:
+        e = np.append(x, 1.0) @ basis
+        e /= np.linalg.norm(e)
+        out.append(e * np.sign(e[np.abs(e).argmax()]))
+    return out
+
+
+def _compare(pairs) -> tuple:
+    """(count mismatches, median and worst distance over matching counts)."""
+    mismatches, distances = 0, []
+    for a, b in pairs:
+        assert a, "the original instance accepted no solution"
+        if len(a) != len(b):
+            mismatches += 1
+        else:
+            distances.append(_set_distance(a, b))
+    return mismatches, float(np.median(distances)), max(distances)
+
+
+def test_conic_swap_of_the_two_conics(conic_template):
+    problem = get_problem("conic")
+
+    def pairs():
+        for i in range(CONIC_INSTANCES):
+            data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+            swapped = ConicPairData(data.c2, data.c1)
+            yield _accepted(conic_template, data), _accepted(conic_template, swapped)
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= CONIC_MAX_MISMATCHES
+    assert median <= CONIC_MAX_MEDIAN_DISTANCE
+    assert worst <= CONIC_MAX_DISTANCE
+
+
+def test_five_point_permuted_correspondences(five_point_template):
+    problem = get_problem("five_point")
+
+    def pairs():
+        for i in range(FIVE_POINT_INSTANCES):
+            rng = np.random.default_rng([SEED, i])
+            data, _ = problem.generate_instance(rng)
+            perm = rng.permutation(5)
+            permuted = FivePointData(data.pts_a[perm], data.pts_b[perm])
+            yield (
+                _essentials(data, _accepted(five_point_template, data)),
+                _essentials(permuted, _accepted(five_point_template, permuted)),
+            )
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= FIVE_POINT_MAX_MISMATCHES
+    assert median <= FIVE_POINT_MAX_MEDIAN_DISTANCE
+    assert worst <= FIVE_POINT_MAX_DISTANCE

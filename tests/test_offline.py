@@ -415,7 +415,7 @@ class TestSolutionCountOracles:
         template = build_template(problem, 7)
         for seed in (0, 1, 2):
             data, _ = problem.generate_instance(np.random.default_rng([71, seed]))
-            stack = problem.build(data)
+            stack = problem.build(problem.original_equations(data))
             samples = det_complex(batched_eval(stack, template.k))
             det_poly = trim(recover_coefficients(samples))
             assert len(det_poly) - 1 == template.k

@@ -15,7 +15,11 @@ from resultant_solve.problems import (
 )
 from resultant_solve.problems.conic import ConicPairData
 from resultant_solve.problems.five_point import FivePointData
-from resultant_solve.recover import solve_online
+from resultant_solve.recover import equation_values, solve_online
+
+
+def _build(problem, data):
+    return problem.build(problem.original_equations(data))
 
 
 def _basis_values(problem, point):
@@ -27,7 +31,7 @@ def _basis_values(problem, point):
 
 
 def _matrix_residual(problem, data, point):
-    m = evaluate_at(problem.build(data), point[problem.hidden_index])
+    m = evaluate_at(_build(problem, data), point[problem.hidden_index])
     return np.abs(m @ _basis_values(problem, point))
 
 
@@ -45,7 +49,7 @@ class TestConic:
     def test_builder_shape(self):
         problem = get_problem("conic")
         data, _ = problem.generate_instance(np.random.default_rng(0))
-        stack = problem.build(data)
+        stack = _build(problem, data)
         assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
         assert stack.shape == (3, 4, 4)
 
@@ -54,7 +58,7 @@ class TestConic:
         problem = get_problem("conic")
         rng = np.random.default_rng(1)
         data = problem.generate_instance(rng)[0]
-        stack = problem.build(data)
+        stack = _build(problem, data)
         for _ in range(20):
             x, y = rng.uniform(-2, 2, size=2)
             f1, f2 = equation_oracles.conic_values(data, (x, y))
@@ -86,13 +90,13 @@ class TestConic:
         c1 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
         c2 = np.array([[0.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, -1.0]])
         with pytest.raises(DegenerateDataError, match="rotate coordinates"):
-            get_problem("conic").build(ConicPairData(c1, c2))
+            _build(get_problem("conic"), ConicPairData(c1, c2))
 
     def test_single_zero_leading_coefficient_accepted(self):
         # xy - 1 has no x^2 term but the pair still builds (N stays 4)
         c1 = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -2.0]])
         c2 = np.array([[0.0, 0.5, 0], [0.5, 0.0, 0], [0, 0, -1.0]])
-        stack = get_problem("conic").build(ConicPairData(c1, c2))
+        stack = _build(get_problem("conic"), ConicPairData(c1, c2))
         assert stack.shape[-1] == 4
 
     def test_recovers_prescribed_intersections(self, conic_template):
@@ -120,7 +124,7 @@ class TestFivePoint:
     def test_builder_shape(self):
         problem = get_problem("five_point")
         data, _ = problem.generate_instance(np.random.default_rng(0))
-        stack = problem.build(data)
+        stack = _build(problem, data)
         assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
         assert stack.shape == (4, 10, 10)
 
@@ -129,7 +133,7 @@ class TestFivePoint:
         problem = get_problem("five_point")
         rng = np.random.default_rng(1)
         data = problem.generate_instance(rng)[0]
-        stack = problem.build(data)
+        stack = _build(problem, data)
         for _ in range(20):
             pt = rng.uniform(-2, 2, size=3)
             want = equation_oracles.values("five_point", data, pt)
@@ -181,7 +185,7 @@ class TestFivePoint:
         pts = np.tile(np.array([0.0, 0.0, 1.0]), (5, 1))
         data = FivePointData(pts, pts)
         with pytest.raises(DegenerateDataError, match="degenerate correspondences"):
-            get_problem("five_point").build(data)
+            _build(get_problem("five_point"), data)
 
     def test_planar_points_do_not_crash(self, five_point_template):
         from resultant_solve.problems.five_point import _random_rotation
@@ -194,7 +198,7 @@ class TestFivePoint:
             [rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5), np.full(5, 5.0)]
         )
         data = FivePointData(pts3d, pts3d @ rot.T + t)
-        stack = get_problem("five_point").build(data)
+        stack = _build(get_problem("five_point"), data)
         assert stack.shape[-1] == 10
         result = solve_online(five_point_template, data)
         assert len(result.accepted) <= 10
@@ -229,6 +233,27 @@ class TestSharedProperties:
                 want = equation_oracles.values(pid, data, pt)
                 scale = max(1.0, np.abs(want).max())
                 assert np.max(np.abs(vals - want)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_equation_rows_match_oracle(self, pid):
+        # the online residual reads the equations from the matrix rows;
+        # each row must be one original equation, in order, and the max over
+        # them must be the independent oracle's residual
+        problem = get_problem(pid)
+        rest = [w for w in range(problem.n_vars) if w != problem.hidden_index]
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            data = problem.generate_instance(rng)[0]
+            points = rng.uniform(-2, 2, size=(20, problem.n_vars))
+            m_at_roots = evaluate_at(_build(problem, data), points[:, problem.hidden_index])
+            got = equation_values(
+                m_at_roots, problem.basis, points[:, rest], problem.equation_rows
+            )
+            dense = problem.original_equations(data).evaluate_all(points)
+            assert got.shape == dense.shape
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            oracle = [np.abs(equation_oracles.values(pid, data, pt)).max() for pt in points]
+            np.testing.assert_allclose(np.abs(got).max(axis=1), oracle, rtol=1e-12)
 
     def test_stack_functions_are_ring_agnostic(self):
         # one layout for both rings: on integer parameters the float stack

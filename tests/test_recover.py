@@ -5,7 +5,6 @@ import equation_oracles
 from resultant_solve import recover
 from resultant_solve.matrixpoly import evaluate_at
 from resultant_solve.offline import SolverTemplate
-from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
 from resultant_solve.recover import (
@@ -95,6 +94,15 @@ class TestCramerRatio:
                 want = y[j1 - (j1 > 1)] / y[j2 - (j2 > 1)]
                 assert abs(val - want) < 1e-10 * max(1.0, abs(want))
 
+    def test_real_stack_gives_real_values(self):
+        # real candidate roots take real LU determinants, so the recovered
+        # coordinates carry no imaginary part to check
+        m = np.random.default_rng(3).standard_normal((4, 3, 3))
+        values, singular = cramer_ratios(m, (0, 0), {1: (1, 2)})
+        assert values.dtype == np.float64 and not singular.any()
+        want, _ = cramer_ratios(m.astype(complex), (0, 0), {1: (1, 2)})
+        assert np.allclose(values, want.real, rtol=1e-13, atol=0)
+
     def test_singular_rejected(self):
         m = np.zeros((2, 3, 3), dtype=complex)
         m[1] = np.eye(3)
@@ -117,7 +125,7 @@ class TestCramerRatio:
         checked = 0
         for seed in range(50):
             data, _ = problem.generate_instance(np.random.default_rng([61, seed]))
-            stack = problem.build(data)
+            stack = problem.build(problem.original_equations(data))
             hidden = _real_hidden_roots(stack, template)
             m_at_roots = evaluate_at(stack, hidden)
             values, singular = cramer_ratios(
@@ -151,7 +159,8 @@ class TestRecoverVariable:
     def test_conic_instance_coordinates(self, conic_template):
         problem = get_problem("conic")
         data, gts = problem.generate_instance(np.random.default_rng(3))
-        m_at_roots = evaluate_at(problem.build(data), [gt[1] for gt in gts])  # y is hidden
+        stack = problem.build(problem.original_equations(data))
+        m_at_roots = evaluate_at(stack, [gt[1] for gt in gts])  # y is hidden
         values, singular = cramer_ratios(
             m_at_roots, conic_template.deletion_pair, conic_template.recovery_pairs
         )
@@ -182,10 +191,9 @@ class TestBackSubstitution:
         m0 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
         m1 = _matrix_with_null_vector(np.random.default_rng(5), np.array([9.0, 3.0, 1.0]))
         stack = np.stack([m0, m1.real - m0])
-        system = PolynomialSystem([[1.0, 0.0], [0.0, 1.0]], [(1, 0), (0, 1)])
         shapes = self._spy_dets(monkeypatch)
         found = recover._assemble_candidates(
-            stack, _toy_template(), np.array([0.0, 1.0]), system
+            stack, _toy_template(), np.array([0.0, 1.0]), (0, 1, 2)
         )
         # both roots, one variable, num + den; then v = 0 alone tries the
         # alternates (0, 2) (singular again: rows 1 and 2 stay) and (1, 0)
@@ -195,49 +203,53 @@ class TestBackSubstitution:
         assert found[1].x[1] == pytest.approx(3.0, abs=1e-10)
 
     @staticmethod
-    def _fake_ratios(monkeypatch, primary):
+    def _fake_ratios(monkeypatch, primary, alternate):
         calls = []
 
         def fake(m_at_roots, deletion_pair, recovery_pairs):
             calls.append(deletion_pair)
-            if deletion_pair == (0, 3):
-                return primary
-            return np.array([[2.0 + 0j, 3.0 + 0j]]), np.array([[False, False]])
+            return primary if deletion_pair == (0, 3) else alternate
 
         monkeypatch.setattr(recover, "cramer_ratios", fake)
         return calls
 
+    _TOY3 = SolverTemplate(
+        problem_id="toy3",
+        n_vars=3,
+        hidden_index=0,
+        size=4,
+        basis=((1, 0), (0, 1), (0, 0), (1, 1)),
+        k=1,
+        r=1,
+        deletion_pair=(0, 3),
+        recovery_pairs={1: (0, 2), 2: (1, 2)},
+    )
+
     def _three_var_candidates(self):
-        template = SolverTemplate(
-            problem_id="toy3",
-            n_vars=3,
-            hidden_index=0,
-            size=4,
-            basis=((1, 0), (0, 1), (0, 0), (1, 1)),
-            k=1,
-            r=1,
-            deletion_pair=(0, 3),
-            recovery_pairs={1: (0, 2), 2: (1, 2)},
-        )
-        system = PolynomialSystem(np.eye(3), np.eye(3, dtype=int))
         return recover._assemble_candidates(
-            np.eye(4)[None], template, np.array([0.5]), system
+            np.eye(4)[None], self._TOY3, np.array([0.5]), (0, 1, 2, 3)
         )
 
-    def test_non_real_then_singular_is_discarded(self, monkeypatch):
+    def test_singular_then_working_alternate_takes_the_fallback(self, monkeypatch):
         calls = self._fake_ratios(
-            monkeypatch, (np.array([[1.0 + 1.0j, 0j]]), np.array([[False, True]]))
-        )
-        assert self._three_var_candidates() == []
-        assert calls == [(0, 3)]  # no fallback pair was tried
-
-    def test_singular_then_non_real_takes_the_fallback(self, monkeypatch):
-        calls = self._fake_ratios(
-            monkeypatch, (np.array([[0j, 1.0 + 1.0j]]), np.array([[True, False]]))
+            monkeypatch,
+            (np.array([[0.0, 1.0]]), np.array([[True, False]])),
+            (np.array([[2.0, 3.0]]), np.array([[False, False]])),
         )
         (cand,) = self._three_var_candidates()
         assert cand.x.tolist() == [0.5, 2.0, 3.0]
         assert calls[0] == (0, 3) and len(calls) == 2
+
+    def test_singular_under_every_pair_is_discarded(self, monkeypatch):
+        calls = self._fake_ratios(
+            monkeypatch,
+            (np.array([[1.0, 0.0]]), np.array([[False, True]])),
+            (np.array([[2.0, 0.0]]), np.array([[False, True]])),
+        )
+        assert self._three_var_candidates() == []
+        alternates = [pair for pair, _ in recover._fallback_deletions(self._TOY3)]
+        assert len(alternates) > 1
+        assert calls == [(0, 3)] + alternates  # every alternate was tried
 
 
 class TestDeduplicate:

@@ -104,7 +104,7 @@ class TestRealCandidates:
 
         problem = get_problem("conic")
         data, _ = problem.generate_instance(np.random.default_rng(11))
-        stack = problem.build(data)
+        stack = problem.build(problem.original_equations(data))
         samples = det_complex(batched_eval(stack, 4))
         poly = trim(recover_coefficients(samples).real)
         assert len(real_candidates(roots(poly))) == 4
