@@ -26,10 +26,13 @@ def evaluate_at(stack: np.ndarray, z) -> np.ndarray:
     complex points a complex one.
     """
     z = np.asarray(z)
-    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)[..., None, None]
+    if z.dtype != np.float64 and z.dtype != np.complex128:
+        z = z.astype(complex if np.iscomplexobj(z) else float)
+    z = z[..., None, None]
     result = stack[-1] + np.zeros_like(z)
     for a in stack[-2::-1]:
-        result = result * z + a
+        result *= z
+        result += a
     return result
 
 

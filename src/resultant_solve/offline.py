@@ -13,7 +13,10 @@ those two specializations:
 * recovery index pairs are chosen from the monomial basis,
 
 and the results are frozen into a JSON-serializable SolverTemplate that
-the online stage replays on every instance.
+the online stage replays on every instance.  Whatever the online stage
+derives from the template alone (the Cramer gather indices, the recovered
+variable columns, the basis exponents, the alternate deletion pairs) is
+compiled once, into cached properties of the template.
 
 Floating-point GCDs are ill-defined and rational arithmetic blows up, so
 the coprimality test works modulo two fixed 31-bit primes; a pair is
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -228,6 +232,51 @@ class SolverTemplate:
                     f"recovery pair for variable {w} has monomial ratio {diff}"
                 )
 
+    # What the online stage derives from the template alone, compiled on
+    # first use and kept with it (a frozen dataclass still has a __dict__).
+
+    @cached_property
+    def recovered_columns(self) -> np.ndarray:
+        """The non-hidden variables, in order."""
+        return np.array([w for w in range(self.n_vars) if w != self.hidden_index])
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The (N, n-1) basis exponent array."""
+        return np.asarray(self.basis)
+
+    @cached_property
+    def primary_rule(self) -> "CramerRule":
+        """The template's deletion pair and recovery pairs, compiled."""
+        return cramer_rule(self.size, self.deletion_pair, self.recovery_pairs)
+
+    @cached_property
+    def alternate_rules(self) -> list:
+        """Row-major alternates to the template's deletion pair, compiled.
+
+        The offline pair is validated on generic data, but a special instance
+        can zero it out structurally (for example when the deleted column has
+        support only in the deleted row); alternates keep such candidates
+        alive.  Each column's recovery pairs come from
+        ``select_recovery_pairs``; columns that leave some variable
+        unrecoverable are skipped.  Only a solve with a singular root needs
+        them, so they are compiled the first time one does.
+        """
+        pairs_for_col: dict = {}
+        for j in range(self.size):
+            try:
+                pairs_for_col[j] = select_recovery_pairs(
+                    self.basis, j, self.n_vars, self.hidden_index
+                )
+            except TemplateError:
+                pass
+        return [
+            cramer_rule(self.size, (i, j), pairs_for_col[j])
+            for i in range(self.size)
+            for j in range(self.size)
+            if (i, j) != self.deletion_pair and j in pairs_for_col
+        ]
+
 
 def template_to_json(template: SolverTemplate) -> str:
     obj = {
@@ -392,3 +441,36 @@ def build_template(problem, rng_seed: int) -> SolverTemplate:
         deletion_pair=deletion,
         recovery_pairs=recovery,
     )
+
+
+# --- compiled Cramer rules ----------------------------------------------------
+
+
+class CramerRule(NamedTuple):
+    """A deletion pair with its recovery pairs, compiled for back-substitution.
+
+    ``index`` is (2W, N-1, N-1): for each recovered variable in ascending
+    order, the numerator then the denominator submatrix, as flat indices
+    into the (N, N+1) matrix [M | -M[:, j]].  Row i and column j are
+    deleted, and the column of the pair's basis index is replaced by the
+    appended right-hand side -M[:, j] without row i.
+    """
+
+    deletion_pair: tuple
+    index: np.ndarray
+
+
+def cramer_rule(size: int, deletion_pair: tuple, recovery_pairs: dict) -> CramerRule:
+    """Compile a deletion pair of an N x N matrix and its recovery pairs."""
+    i, j = deletion_pair
+    for pair in recovery_pairs.values():
+        if any(c == j or not 0 <= c < size for c in pair):
+            raise ValueError(f"recovery pair {pair} out of range or deleted")
+    rows = np.array([r for r in range(size) if r != i])
+    cols = [c for c in range(size) if c != j]
+    index = []
+    for w in sorted(recovery_pairs):
+        for c in recovery_pairs[w]:
+            replaced = [size if col == c else col for col in cols]
+            index.append(rows[:, None] * (size + 1) + np.array(replaced))
+    return CramerRule(tuple(deletion_pair), np.array(index))

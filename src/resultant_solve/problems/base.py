@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 
 class DegenerateDataError(ValueError):
@@ -17,15 +17,20 @@ class Problem:
     ``basis`` lists the column monomials as exponent tuples over the
     non-hidden variables (original variable order with the hidden one
     removed).  ``original_equations(data)`` writes the instance's equations
-    as a dense ``PolynomialSystem``, and ``build(equations)`` turns that
-    system into the matrix polynomial's float64 (d+1, N, N) coefficient
-    stack, so the online stage runs the data-dependent work (for
-    ``five_point``, an SVD) once.  ``modular_matrix(rng, p)`` returns a
+    as their float64 (m, M) coefficient array over the problem module's
+    ``MONOMIALS`` table, and ``build(equations)`` turns that array into the
+    matrix polynomial's float64 (d+1, N, N) coefficient stack, so the
+    online stage runs the data-dependent work (for ``five_point``, an SVD)
+    once.  ``modular_matrix(rng, p)`` returns a
     random instance of the matrix over Z_p as a (d+1, N, N) ``object``
     stack of Python ints.  ``equation_rows`` names the matrix rows that
     are the original equations: row i of M(z) times the basis monomials
     v(x) is one equation, which is how the online stage scores its
-    candidates.
+    candidates.  ``second_frame(data)``, when set, returns ``(equations,
+    q)``: the instance's equations with the homogeneous unknowns [x, 1]
+    mixed by the constant orthogonal q, so that a solution x' there is
+    q^T [x', 1] up to scale here.  The online stage re-solves in that frame
+    an instance whose first solve accepted nothing.
     """
 
     problem_id: str
@@ -40,3 +45,4 @@ class Problem:
     original_equations: Callable
     data_to_json: Callable
     data_from_json: Callable
+    second_frame: Optional[Callable] = None

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 from .sylvester import sylvester_stack
 
@@ -63,8 +62,9 @@ def _conic_row(c: np.ndarray) -> list:
     return [c[0, 0], 2 * c[0, 1], c[1, 1], 2 * c[0, 2], 2 * c[1, 2], c[2, 2]]
 
 
-def original_equations(data: ConicPairData) -> PolynomialSystem:
-    return PolynomialSystem([_conic_row(data.c1), _conic_row(data.c2)], MONOMIALS)
+def original_equations(data: ConicPairData) -> np.ndarray:
+    """The two conics as a (2, 6) coefficient array over MONOMIALS."""
+    return np.array([_conic_row(data.c1), _conic_row(data.c2)])
 
 
 _ZERO = 12  # index of the zero appended to the two conic rows
@@ -106,9 +106,8 @@ def matrix_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return _rows_stack(np.array(rows, dtype=np.result_type(c1, c2)))
 
 
-def build(equations: PolynomialSystem) -> np.ndarray:
-    """M(y) of the two conics that ``original_equations`` returns."""
-    rows = equations.coeffs
+def build(rows: np.ndarray) -> np.ndarray:
+    """M(y) of the (2, 6) conic rows that ``original_equations`` returns."""
     if max(abs(rows[0, 0]), abs(rows[1, 0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"

@@ -10,12 +10,12 @@ monomial basis (x^3, y^3, x^2 y, x y^2, x^2, y^2, x y, x, y, 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..poly import PolynomialSystem
 from .base import DegenerateDataError, Problem
 
 HIDDEN_INDEX = 2
@@ -44,7 +44,7 @@ def _monomials(max_degree: int) -> list:
 MON1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]  # x, y, z, 1
 MON3 = _monomials(3)
 _IDX3 = {e: i for i, e in enumerate(MON3)}
-_MON3_EXPONENTS = np.array(MON3)
+MONOMIALS = np.array(MON3)  # the cubics' monomial table, over (x, y, z)
 
 
 def _scatter_matrix() -> np.ndarray:
@@ -163,9 +163,9 @@ def matrix_stack(e_basis: np.ndarray) -> np.ndarray:
     return _cubics_stack(constraint_vectors(np.asarray(e_basis)))
 
 
-def build(equations: PolynomialSystem) -> np.ndarray:
-    """M(z) of the ten cubics that ``original_equations`` returns."""
-    return _cubics_stack(equations.coeffs)
+def build(cubics: np.ndarray) -> np.ndarray:
+    """M(z) of the (10, 20) cubics that ``original_equations`` returns."""
+    return _cubics_stack(cubics)
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -173,10 +173,33 @@ def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     return matrix_stack(rng.integers(1, p, size=(4, 3, 3)).astype(object)) % p
 
 
-def original_equations(data: FivePointData) -> PolynomialSystem:
-    return PolynomialSystem(
-        constraint_vectors(_nullspace_basis(data)), _MON3_EXPONENTS
-    )
+def original_equations(data: FivePointData) -> np.ndarray:
+    """The ten cubics as a (10, 20) coefficient array over MONOMIALS."""
+    return constraint_vectors(_nullspace_basis(data))
+
+
+@functools.cache
+def frame_mix() -> np.ndarray:
+    """The fixed generic 4x4 orthogonal Q of the second frame.
+
+    The Q factor of a standard normal matrix from ``default_rng(0)``,
+    computed on first use: the QR call's LAPACK workspace costs the
+    process about 6 MB, which an import should not.
+    """
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+
+
+def second_frame(data: FivePointData) -> tuple:
+    """The ten cubics over the mixed basis E'_j = sum_k Q_jk E_k, Q = ``frame_mix()``.
+
+    E = sum_j [x', 1]_j E'_j = sum_k (Q^T [x', 1])_k E_k, so a solution x'
+    of these cubics maps back to c = Q^T [x', 1], divided by its last
+    entry.
+    """
+    mix = frame_mix()
+    e_basis = _nullspace_basis(data)
+    mixed = (mix @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
+    return constraint_vectors(mixed), mix
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -254,4 +277,5 @@ PROBLEM = Problem(
     original_equations=original_equations,
     data_to_json=data_to_json,
     data_from_json=data_from_json,
+    second_frame=second_frame,
 )

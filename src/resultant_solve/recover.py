@@ -9,13 +9,17 @@ it, and root it through its companion matrix.  Back-substitution then
 runs on all real candidate roots at once, in float64: one Horner pass
 evaluates the matrix at every root, and every Cramer-rule ratio of every
 root comes from one batched LU call on a stack of column-replaced
-submatrices.  Only roots whose deletion submatrix is singular retry the
-alternate deletion pairs.  The original equations are rows of the matrix
-(the problem names them in ``equation_rows``), so each candidate's
-residual is read from M(z) v(x) at its root, with no second pass over the
-equations, and the small ones are kept.  No step forms a matrix inverse
-or solves a linear system through one; every quantity is a ratio of
-determinants.
+submatrices, gathered through the Cramer rules the template compiled once.
+Only roots whose deletion submatrix is singular retry the alternate
+deletion pairs.  The original equations are rows of the matrix (the
+problem names them in ``equation_rows``), so each candidate's residual is
+read from M(z) v(x) at its root, with no second pass over the equations.
+Candidates stay (R, n) and (R,) arrays through ranking, merging and the
+residual threshold; only the accepted ones become ``CandidateSolution``
+objects.  A problem with a second frame (``five_point``) re-solves an
+instance that accepted nothing in a fixed, generically mixed frame.  No
+step forms a matrix inverse or solves a linear system through one; every
+quantity is a ratio of determinants.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixpoly import det_complex, evaluate_at
-from .offline import SolverTemplate, TemplateError, select_recovery_pairs
+from .offline import CramerRule, SolverTemplate, cramer_rule
 from .problems import DegenerateDataError, get_problem
 from .rootfind import real_candidates, roots
 from .spectral import batched_eval, recover_coefficients, trim
@@ -64,79 +68,96 @@ class SolutionSet:
     roots_found: int  # real candidate vectors that reached residual ranking
 
 
-def cramer_ratios(
-    m_at_roots: np.ndarray, deletion_pair: tuple, recovery_pairs: dict
-) -> tuple:
+def cramer_at(m_at_roots: np.ndarray, rule: CramerRule) -> tuple:
     """Every recovered variable at every root, as Cramer determinant ratios.
 
     ``m_at_roots`` is the (R, N, N) stack of the matrix evaluated at R
-    hidden-variable values.  The deletion pair (i, j) removes row i and
-    column j; the negated column j, without row i, is the right-hand side.
-    Variable w (ascending order of ``recovery_pairs``) is det(replace
-    column j1) / det(replace column j2) for its pair (j1, j2); the shared
-    b_j normalization cancels, so the result does not depend on the deleted
-    column's monomial.  All 2W determinants of all R roots are one batched
-    LU call on an (R, 2W, N-1, N-1) stack.
+    hidden-variable values, and ``rule`` a compiled deletion pair (i, j):
+    row i and column j are removed, and the negated column j, without row
+    i, is the right-hand side.  Variable w (ascending order of the rule's
+    recovery pairs) is det(replace column j1) / det(replace column j2) for
+    its pair (j1, j2); the shared b_j normalization cancels, so the result
+    does not depend on the deleted column's monomial.  The (R, 2W, N-1,
+    N-1) stack of all 2W submatrices of all R roots is one gather from
+    [M | -M[:, j]], and its determinants one batched LU call.
 
     Returns (values, singular), both (R, W): the ratios, in the dtype of
     ``m_at_roots`` (float64 at real roots), and whether the denominator
     fell below SINGULAR_FLOOR (the value is then meaningless).
     """
-    i, j = deletion_pair
-    size = m_at_roots.shape[-1]
-    for pair in recovery_pairs.values():
-        if any(c == j or not 0 <= c < size for c in pair):
-            raise ValueError(f"recovery pair {pair} out of range or deleted")
-    index = np.arange(size)
-    rows, cols = index[index != i], index[index != j]
-    sub = m_at_roots[:, rows[:, None], cols]
-    rhs = -m_at_roots[:, rows, j]
-    replaced = [c - (c > j) for w in sorted(recovery_pairs) for c in recovery_pairs[w]]
-    stack = np.repeat(sub[:, None], len(replaced), axis=1)
-    stack[:, np.arange(len(replaced)), :, replaced] = rhs
-    dets = det_complex(stack).reshape(len(sub), -1, 2)
+    count = len(m_at_roots)
+    j = rule.deletion_pair[1]
+    extended = np.concatenate((m_at_roots, -m_at_roots[:, :, j : j + 1]), axis=2)
+    stack = extended.reshape(count, -1)[:, rule.index]
+    dets = det_complex(stack).reshape(count, -1, 2)
     numer, denom = dets[..., 0], dets[..., 1]
     singular = np.abs(denom) < SINGULAR_FLOOR
     return numer / np.where(singular, 1.0, denom), singular
 
 
-def _fallback_deletions(template: SolverTemplate) -> list:
-    """Row-major alternates to the template's deletion pair.
-
-    The offline pair is validated on generic data, but a special instance
-    can zero it out structurally (for example when the deleted column has
-    support only in the deleted row); alternates keep such candidates alive.
-    """
-    options = []
-    pairs_for_col: dict = {}
-    for i in range(template.size):
-        for j in range(template.size):
-            if (i, j) == template.deletion_pair:
-                continue
-            if j not in pairs_for_col:
-                try:
-                    pairs_for_col[j] = select_recovery_pairs(
-                        template.basis, j, template.n_vars, template.hidden_index
-                    )
-                except TemplateError:
-                    pairs_for_col[j] = None
-            if pairs_for_col[j] is not None:
-                options.append(((i, j), pairs_for_col[j]))
-    return options
+def cramer_ratios(
+    m_at_roots: np.ndarray, deletion_pair: tuple, recovery_pairs: dict
+) -> tuple:
+    """``cramer_at`` for a deletion pair and recovery pairs given directly."""
+    rule = cramer_rule(m_at_roots.shape[-1], deletion_pair, recovery_pairs)
+    return cramer_at(m_at_roots, rule)
 
 
 def equation_values(
-    m_at_roots: np.ndarray, basis: tuple, points: np.ndarray, rows: tuple
+    m_at_roots: np.ndarray, basis, points: np.ndarray, rows: tuple
 ) -> np.ndarray:
     """The original equations at R candidates, read from the matrix rows.
 
     ``m_at_roots`` is the (R, N, N) matrix at the candidates' hidden values
     and ``points`` the (R, n-1) non-hidden coordinates, in ``basis``
-    order.  Each of ``rows`` times the basis monomials v(x) is one
-    original equation, so the result is (R, len(rows)).
+    order (exponent tuples, or the template's exponent array).  Each of
+    ``rows`` times the basis monomials v(x) is one original equation, so
+    the result is (R, len(rows)).
     """
-    monomials = np.prod(points[:, None, :] ** np.asarray(basis), axis=-1)
-    return (m_at_roots @ monomials[..., None])[:, list(rows), 0]
+    monomials = np.multiply.reduce(points[:, None, :] ** np.asarray(basis), axis=-1)
+    return (m_at_roots @ monomials[..., None])[:, rows, 0]
+
+
+def _back_substitute(
+    stack: np.ndarray, template: SolverTemplate, hidden_values: np.ndarray
+) -> tuple:
+    """(coords, m_at_roots) of the roots that back-substitution keeps.
+
+    A root whose primary deletion pair is singular for some variable
+    retries the template's alternate rules one at a time until one is non-singular
+    for every variable (kept) or the alternates run out (discarded).
+    ``coords`` is (R, n) with the hidden value in its column, and
+    ``m_at_roots`` the (R, N, N) matrix at the kept roots, both in root
+    order.
+    """
+    if not len(hidden_values):
+        return np.empty((0, template.n_vars)), np.empty((0,) + stack.shape[1:])
+    m_at_roots = evaluate_at(stack, hidden_values)
+    values, singular = cramer_at(m_at_roots, template.primary_rule)
+    coords = np.empty((len(hidden_values), template.n_vars))
+    coords[:, template.hidden_index] = hidden_values
+    coords[:, template.recovered_columns] = values
+    keep = ~singular.any(axis=1)
+    if keep.all():
+        return coords, m_at_roots
+    for root in np.flatnonzero(~keep):
+        for rule in template.alternate_rules:
+            values, singular = cramer_at(m_at_roots[root : root + 1], rule)
+            if not singular.any():
+                coords[root, template.recovered_columns] = values[0]
+                keep[root] = True
+                break
+    return coords[keep], m_at_roots[keep]
+
+
+def _residuals(
+    m_at_roots: np.ndarray, template: SolverTemplate, coords: np.ndarray, rows
+) -> np.ndarray:
+    """max over ``rows`` of |M(z) v(x)| / |x| for each row x of ``coords``."""
+    points = coords[:, template.recovered_columns]
+    equations = equation_values(m_at_roots, template.exponents, points, rows)
+    norms = np.sqrt(np.add.reduce(coords * coords, axis=1))  # np.linalg.norm's sum
+    return np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
 
 
 def _assemble_candidates(
@@ -144,65 +165,62 @@ def _assemble_candidates(
     template: SolverTemplate,
     hidden_values: np.ndarray,
     rows: tuple,
-) -> list:
-    """Back-substituted candidate vectors with their normalized residuals.
+) -> tuple:
+    """Back-substituted candidate vectors and their normalized residuals.
 
-    A root whose template deletion pair is singular for some variable
-    retries the alternate deletion pairs one at a time until one is
-    non-singular for every variable (kept) or the alternates run out
-    (discarded).  The residual is max over ``rows`` of |M(z) v(x)| / |x|.
+    Returns (coords, residuals), (R, n) and (R,), for the R roots that
+    back-substitution keeps, in root order.  The residual is max over
+    ``rows`` of |M(z) v(x)| / |x|.
     """
-    if not len(hidden_values):
-        return []
-    m_at_roots = evaluate_at(stack, hidden_values)
-    values, singular = cramer_ratios(
-        m_at_roots, template.deletion_pair, template.recovery_pairs
-    )
-    recovered = [w for w in range(template.n_vars) if w != template.hidden_index]
-    coords = np.empty((len(hidden_values), template.n_vars))
-    coords[:, template.hidden_index] = hidden_values
-    coords[:, recovered] = values
-    keep = ~singular.any(axis=1)
-    fallback: list | None = None  # built only if the template pair degenerates
-    for root in np.flatnonzero(~keep):
-        if fallback is None:
-            fallback = _fallback_deletions(template)
-        for pair, pairs in fallback:
-            values, singular = cramer_ratios(m_at_roots[root : root + 1], pair, pairs)
-            if not singular.any():
-                coords[root, recovered] = values[0]
-                keep[root] = True
-                break
-    vecs = coords[keep]
-    if not len(vecs):
-        return []
-    equations = equation_values(m_at_roots[keep], template.basis, vecs[:, recovered], rows)
-    norms = np.linalg.norm(vecs, axis=1)
-    residuals = np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
-    return [CandidateSolution(x, float(res)) for x, res in zip(vecs, residuals)]
+    coords, m_at_roots = _back_substitute(stack, template, hidden_values)
+    return coords, _residuals(m_at_roots, template, coords, rows)
 
 
-def _deduplicate(candidates: list) -> list:
-    """Merge near-identical vectors, keeping the lower residual."""
-    if not candidates:
+def _deduplicate(x: np.ndarray) -> list:
+    """Indices of the rows of ``x`` (best first) that survive the merge.
+
+    Greedy in order: a row is dropped when it lies within DUPLICATE_TOL
+    (relative to 1 + its largest entry) of a row already kept.
+    """
+    if not len(x):
         return []
-    x = np.array([c.x for c in candidates])  # already sorted by residual
     scale = 1.0 + np.abs(x).max(axis=1)
     close = np.abs(x[:, None] - x[None]).max(axis=-1) < DUPLICATE_TOL * scale[:, None]
     kept: list = []
     for k, near in enumerate(close.tolist()):
-        if not any(near[other] for other in kept):
+        for other in kept:
+            if near[other]:
+                break
+        else:
             kept.append(k)
-    return [candidates[k] for k in kept]
+    return kept
 
 
-def solve_online(template: SolverTemplate, data) -> SolutionSet:
-    """Run the full online stage for one instance."""
-    problem = get_problem(template.problem_id)
-    try:
-        stack = problem.build(problem.original_equations(data))
-    except DegenerateDataError as exc:
-        raise SolveError(f"degenerate instance: {exc}") from exc
+def _select(
+    coords: np.ndarray, residuals: np.ndarray, r: int, candidate_roots: int
+) -> SolutionSet:
+    """Rank, merge, threshold and cap the candidates into a SolutionSet.
+
+    Candidates are ordered by residual, ties broken by the coordinates in
+    order; near-duplicates merge into the better one; at most ``r`` of
+    those with residual <= RESIDUAL_FAIL_THRESHOLD are accepted.
+    """
+    order = np.lexsort((*coords.T[::-1], residuals))
+    coords, residuals = coords[order], residuals[order]
+    kept = np.array(_deduplicate(coords), dtype=int)
+    good = kept[residuals[kept] <= RESIDUAL_FAIL_THRESHOLD][:r]
+    accepted = tuple(map(CandidateSolution, coords[good], residuals[good].tolist()))
+    return SolutionSet(
+        accepted=accepted,
+        rejected_count=len(coords) - len(accepted),
+        failed=not len(good),
+        candidate_roots=candidate_roots,
+        roots_found=len(coords),
+    )
+
+
+def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
+    """(number of complex roots, real hidden values) of det M for one stack."""
     if stack.shape[-1] != template.size:
         raise SolveError(
             f"matrix size {stack.shape[-1]} does not match template {template.size}"
@@ -227,22 +245,53 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
         raise SolveError("degenerate instance: determinant degree collapsed")
 
     all_roots = roots(det_poly)
-    hidden_values = real_candidates(all_roots)
-    candidates = _assemble_candidates(
+    return len(all_roots), real_candidates(all_roots)
+
+
+def _second_frame(problem, data, stack: np.ndarray, template: SolverTemplate):
+    """Solve again in the problem's second frame; None when that frame fails.
+
+    ``problem.second_frame(data)`` gives the equations in a frame where the
+    homogeneous unknowns [x', 1] are mixed by a constant orthogonal Q.  Each
+    candidate maps back by c = Q^T [x', 1] divided by its last entry, and
+    is re-scored on the equation rows of the original ``stack``.
+    """
+    try:
+        equations, mix = problem.second_frame(data)
+        frame_stack = problem.build(equations)
+        candidate_roots, hidden_values = _hidden_roots(frame_stack, template)
+    except (DegenerateDataError, SolveError):
+        return None
+    frame_coords, _ = _back_substitute(frame_stack, template, hidden_values)
+    homogeneous = np.hstack([frame_coords, np.ones((len(frame_coords), 1))]) @ mix
+    coords = homogeneous[:, :-1] / homogeneous[:, -1:]
+    m_at_roots = evaluate_at(stack, coords[:, template.hidden_index])
+    residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
+    return _select(coords, residuals, template.r, candidate_roots)
+
+
+def solve_online(template: SolverTemplate, data) -> SolutionSet:
+    """Run the full online stage for one instance.
+
+    When nothing is accepted and the problem has a second frame, the
+    instance is solved once more in that frame, and its result replaces
+    the first one if it accepts a solution.
+    """
+    problem = get_problem(template.problem_id)
+    try:
+        stack = problem.build(problem.original_equations(data))
+    except DegenerateDataError as exc:
+        raise SolveError(f"degenerate instance: {exc}") from exc
+    candidate_roots, hidden_values = _hidden_roots(stack, template)
+    coords, residuals = _assemble_candidates(
         stack, template, hidden_values, problem.equation_rows
     )
-    candidates.sort(key=lambda c: (c.residual, tuple(c.x)))
-    kept = _deduplicate(candidates)
-
-    good = [c for c in kept if c.residual <= RESIDUAL_FAIL_THRESHOLD]
-    accepted = tuple(good[: template.r])
-    return SolutionSet(
-        accepted=accepted,
-        rejected_count=len(candidates) - len(accepted),
-        failed=not good,
-        candidate_roots=len(all_roots),
-        roots_found=len(candidates),
-    )
+    result = _select(coords, residuals, template.r, candidate_roots)
+    if result.failed and problem.second_frame is not None:
+        retried = _second_frame(problem, data, stack, template)
+        if retried is not None and not retried.failed:
+            return retried
+    return result
 
 
 def solution_set_to_json(result: SolutionSet) -> dict:

@@ -22,9 +22,9 @@ def roots(coeffs: np.ndarray) -> np.ndarray:
     deg = len(coeffs) - 1
     if deg < 1:
         raise ValueError("no roots: polynomial has degree 0")
-    monic = coeffs / coeffs[-1]
-    companion = np.eye(deg, k=-1, dtype=complex)
-    companion[:, -1] = -monic[:-1]
+    companion = np.zeros((deg, deg), dtype=complex)
+    companion.flat[deg :: deg + 1] = 1.0  # the subdiagonal
+    companion[:, -1] = -(coeffs[:-1] / coeffs[-1])
     return np.linalg.eigvals(companion)
 
 
@@ -34,5 +34,5 @@ def real_candidates(roots_: np.ndarray) -> np.ndarray:
     Keeps z with |Im z| <= DEFAULT_IM_TOL * (1 + |Re z|), preserving order.
     """
     roots_ = np.asarray(roots_, dtype=complex)
-    keep = np.abs(roots_.imag) <= DEFAULT_IM_TOL * (1.0 + np.abs(roots_.real))
-    return roots_.real[keep]
+    real = roots_.real
+    return real[np.abs(roots_.imag) <= DEFAULT_IM_TOL * (1.0 + np.abs(real))]

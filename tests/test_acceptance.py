@@ -227,10 +227,12 @@ def test_criterion_7_rank_deficiency_witness(conic_template, five_point_template
 def test_criterion_8_inversion_free_audit():
     # the online path may only reach determinant-returning linear algebra;
     # svd only finds the five_point nullspace basis and builds instances,
-    # and eigvals roots the companion
+    # and eigvals roots the companion; offline.py compiles the
+    # Cramer rules the online stage gathers through
     forbidden = {"inv", "pinv", "solve", "lstsq", "tensorsolve", "tensorinv"}
     online_modules = [
         "recover.py",
+        "offline.py",
         "matrixpoly.py",
         "spectral.py",
         "rootfind.py",

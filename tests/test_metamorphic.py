@@ -40,6 +40,19 @@ broken copy of the code:
   whose answer depends on the order of the correspondences, and the
   ``five_point`` count differs in 208 of 400 instances.  The ``conic``
   swap does not involve this code.
+
+Two relations are exact: scaling a conic, or a homogeneous image point,
+by a power of two changes no bit of the data after the constructors'
+power-of-two pre-scale, so the ``SolutionSet`` must be bitwise the same.
+The scalings reach 2^-900 and 2^900, where a sum of squares underflows or
+overflows.  Mutations they catch:
+
+- the constructors without the power-of-two pre-scale, normalizing by the
+  plain Euclidean norm: a conic scaled by 2^-900 is rejected as "the zero
+  conic", and a point scaled by 2^-900 as "a zero point";
+- the ``conic`` constructor without pre-scale or normalization: the scaled
+  pair solves to the same points with residuals scaled by the data, so
+  the two ``SolutionSet``s differ.
 """
 
 import numpy as np
@@ -60,6 +73,9 @@ FIVE_POINT_INSTANCES = 400
 FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
 FIVE_POINT_MAX_MEDIAN_DISTANCE = 1e-10  # measured 1.6e-11 .. 2.1e-11
 FIVE_POINT_MAX_DISTANCE = 6e-4  # measured 3.3e-5 .. 4.0e-4
+
+SCALING_INSTANCES = 100
+SCALING_EXPONENTS = (-900, -37, -1, 1, 5, 64, 900)
 
 
 def _accepted(template, data) -> list:
@@ -131,3 +147,40 @@ def test_five_point_permuted_correspondences(five_point_template):
     assert mismatches <= FIVE_POINT_MAX_MISMATCHES
     assert median <= FIVE_POINT_MAX_MEDIAN_DISTANCE
     assert worst <= FIVE_POINT_MAX_DISTANCE
+
+
+def _same_solution_set(a, b) -> bool:
+    return (
+        [(c.x.tobytes(), c.residual) for c in a.accepted]
+        == [(c.x.tobytes(), c.residual) for c in b.accepted]
+        and (a.rejected_count, a.failed, a.candidate_roots, a.roots_found)
+        == (b.rejected_count, b.failed, b.candidate_roots, b.roots_found)
+    )
+
+
+def test_conic_power_of_two_scaling_is_exact(conic_template):
+    problem = get_problem("conic")
+    for i in range(SCALING_INSTANCES):
+        rng = np.random.default_rng([SEED, i])
+        data, _ = problem.generate_instance(rng)
+        # the constructor's normalization is not idempotent to the last bit,
+        # so the unscaled side goes through it once more as well
+        base = ConicPairData(data.c1, data.c2)
+        k1, k2 = rng.choice(SCALING_EXPONENTS, size=2)
+        scaled = ConicPairData(np.ldexp(data.c1, k1), np.ldexp(data.c2, k2))
+        result = solve_online(conic_template, base)
+        assert result.accepted, "the original instance accepted no solution"
+        assert _same_solution_set(result, solve_online(conic_template, scaled))
+
+
+def test_five_point_power_of_two_point_scaling_is_exact(five_point_template):
+    problem = get_problem("five_point")
+    for i in range(SCALING_INSTANCES):
+        rng = np.random.default_rng([SEED, i])
+        data, _ = problem.generate_instance(rng)
+        base = FivePointData(data.pts_a, data.pts_b)
+        k_a, k_b = rng.choice(SCALING_EXPONENTS, size=(2, 5, 1))
+        scaled = FivePointData(np.ldexp(data.pts_a, k_a), np.ldexp(data.pts_b, k_b))
+        result = solve_online(five_point_template, base)
+        assert result.accepted, "the original instance accepted no solution"
+        assert _same_solution_set(result, solve_online(five_point_template, scaled))

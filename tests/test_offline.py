@@ -370,8 +370,8 @@ class TestSolutionCountOracles:
         problem = get_problem("conic")
         for seed in (0, 1, 2):
             data, gts = problem.generate_instance(np.random.default_rng(seed))
-            system = problem.original_equations(data)
-            exps = system.exponents
+            coeffs = problem.original_equations(data)
+            exps = conic.MONOMIALS
 
             def value_and_jacobian(pt):
                 # d/dx_k x^e = e_k x^(e - unit_k), from the dense exponent table
@@ -379,7 +379,7 @@ class TestSolutionCountOracles:
                 for k in range(2):
                     lowered = np.maximum(exps - np.eye(2, dtype=int)[k], 0)
                     monomials = exps[:, k] * np.prod(pt**lowered, axis=1)
-                    jac[:, k] = system.coeffs @ monomials
+                    jac[:, k] = coeffs @ monomials
                 return equation_oracles.conic_values(data, pt), jac
 
             found = []

@@ -5,6 +5,7 @@ import pytest
 
 import equation_oracles
 from resultant_solve.matrixpoly import evaluate_at
+from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import (
     DegenerateDataError,
     conic,
@@ -20,6 +21,12 @@ from resultant_solve.recover import equation_values, solve_online
 
 def _build(problem, data):
     return problem.build(problem.original_equations(data))
+
+
+def _system(problem, data):
+    """The instance's equation array over its problem's monomial table."""
+    module = {"conic": conic, "five_point": five_point}[problem.problem_id]
+    return PolynomialSystem(problem.original_equations(data), module.MONOMIALS)
 
 
 def _basis_values(problem, point):
@@ -70,7 +77,7 @@ class TestConic:
     def test_generator_ground_truth(self):
         problem = get_problem("conic")
         data, gts = problem.generate_instance(np.random.default_rng(1))
-        system = problem.original_equations(data)
+        system = _system(problem, data)
         assert len(gts) == 4
         for gt in gts:
             assert system.max_abs_residual(gt) < 1e-12
@@ -167,7 +174,7 @@ class TestFivePoint:
     def test_ground_truth_satisfies_cubics(self):
         problem = get_problem("five_point")
         data, gts = problem.generate_instance(np.random.default_rng(1))
-        system = problem.original_equations(data)
+        system = _system(problem, data)
         assert system.max_abs_residual(gts[0]) < 1e-10
 
     def test_generator_deterministic(self):
@@ -216,10 +223,12 @@ class TestSharedProperties:
     def test_original_equation_counts(self):
         conic_data, _ = generate_instance("conic", 0)
         five_data, _ = generate_instance("five_point", 0)
-        conic_sys = original_equations("conic", conic_data)
-        five_sys = original_equations("five_point", five_data)
-        assert (conic_sys.n_equations, conic_sys.n_vars) == (2, 2)
-        assert (five_sys.n_equations, five_sys.n_vars) == (10, 3)
+        conic_eqs = original_equations("conic", conic_data)
+        five_eqs = original_equations("five_point", five_data)
+        # (equations, monomials), and one exponent per variable
+        assert conic_eqs.shape == (2, len(conic.MONOMIALS))
+        assert five_eqs.shape == (10, len(five_point.MONOMIALS))
+        assert conic.MONOMIALS.shape[1] == 2 and five_point.MONOMIALS.shape[1] == 3
 
     @pytest.mark.parametrize("pid", ["conic", "five_point"])
     def test_dense_system_matches_oracle(self, pid):
@@ -228,7 +237,7 @@ class TestSharedProperties:
         for _ in range(5):
             data = problem.generate_instance(rng)[0]
             points = rng.uniform(-2, 2, size=(20, problem.n_vars))
-            got = problem.original_equations(data).evaluate_all(points)
+            got = _system(problem, data).evaluate_all(points)
             for pt, vals in zip(points, got):
                 want = equation_oracles.values(pid, data, pt)
                 scale = max(1.0, np.abs(want).max())
@@ -249,7 +258,7 @@ class TestSharedProperties:
             got = equation_values(
                 m_at_roots, problem.basis, points[:, rest], problem.equation_rows
             )
-            dense = problem.original_equations(data).evaluate_all(points)
+            dense = _system(problem, data).evaluate_all(points)
             assert got.shape == dense.shape
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             oracle = [np.abs(equation_oracles.values(pid, data, pt)).max() for pt in points]
