@@ -24,7 +24,6 @@ from .recover import (
     CandidateSolution,
     SolutionSet,
     SolveError,
-    cramer_ratios,
     solve_online,
 )
 from .rootfind import real_candidates, roots
@@ -42,7 +41,6 @@ __all__ = [
     "TemplateError",
     "batched_eval",
     "build_template",
-    "cramer_ratios",
     "det_complex",
     "detect_degree",
     "evaluate_at",

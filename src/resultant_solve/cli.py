@@ -88,8 +88,15 @@ def _run_chunk(problem_id: str, template, seed: int, indices: range) -> list:
 
 
 def _chunks(trials: int, jobs: int) -> list:
-    """Contiguous trial index ranges, one per process: min(jobs, trials, CPUs)."""
-    n = min(jobs, trials, os.cpu_count() or 1)
+    """Contiguous trial index ranges, one per process: min(jobs, trials, CPUs).
+
+    CPUs are those this process may run on, where the platform reports them.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    n = min(jobs, trials, cpus)
     bounds = [trials * c // n for c in range(n + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 

@@ -246,13 +246,13 @@ class SolverTemplate:
         return np.asarray(self.basis)
 
     @cached_property
-    def primary_rule(self) -> "CramerRule":
+    def primary_rule(self) -> np.ndarray:
         """The template's deletion pair and recovery pairs, compiled."""
         return cramer_rule(self.size, self.deletion_pair, self.recovery_pairs)
 
     @cached_property
     def alternate_rules(self) -> list:
-        """Row-major alternates to the template's deletion pair, compiled.
+        """Row-major alternates to the template's deletion pair, as gather indices.
 
         The offline pair is validated on generic data, but a special instance
         can zero it out structurally (for example when the deleted column has
@@ -446,22 +446,16 @@ def build_template(problem, rng_seed: int) -> SolverTemplate:
 # --- compiled Cramer rules ----------------------------------------------------
 
 
-class CramerRule(NamedTuple):
-    """A deletion pair with its recovery pairs, compiled for back-substitution.
+def cramer_rule(size: int, deletion_pair: tuple, recovery_pairs: dict) -> np.ndarray:
+    """Compile a deletion pair of an N x N matrix and its recovery pairs.
 
-    ``index`` is (2W, N-1, N-1): for each recovered variable in ascending
-    order, the numerator then the denominator submatrix, as flat indices
-    into the (N, N+1) matrix [M | -M[:, j]].  Row i and column j are
-    deleted, and the column of the pair's basis index is replaced by the
-    appended right-hand side -M[:, j] without row i.
+    The rule is its (2W, N-1, N-1) gather index: for each recovered
+    variable in ascending order, the numerator then the denominator
+    submatrix, as flat indices into the (N, 2N) matrix [M | -M] that every
+    rule of a template shares.  Row i and column j are deleted, and the
+    column of the pair's basis index is replaced by column N + j, the
+    right-hand side -M[:, j] without row i.
     """
-
-    deletion_pair: tuple
-    index: np.ndarray
-
-
-def cramer_rule(size: int, deletion_pair: tuple, recovery_pairs: dict) -> CramerRule:
-    """Compile a deletion pair of an N x N matrix and its recovery pairs."""
     i, j = deletion_pair
     for pair in recovery_pairs.values():
         if any(c == j or not 0 <= c < size for c in pair):
@@ -471,6 +465,6 @@ def cramer_rule(size: int, deletion_pair: tuple, recovery_pairs: dict) -> Cramer
     index = []
     for w in sorted(recovery_pairs):
         for c in recovery_pairs[w]:
-            replaced = [size if col == c else col for col in cols]
-            index.append(rows[:, None] * (size + 1) + np.array(replaced))
-    return CramerRule(tuple(deletion_pair), np.array(index))
+            replaced = [size + j if col == c else col for col in cols]
+            index.append(rows[:, None] * (2 * size) + np.array(replaced))
+    return np.array(index)

@@ -86,33 +86,19 @@ def _sylvester_layout() -> np.ndarray:
 _LAYOUT = _sylvester_layout()
 
 
-def _rows_stack(rows: np.ndarray) -> np.ndarray:
+def build(rows: np.ndarray) -> np.ndarray:
     """(3, 4, 4) stack of M(y) from the (2, 6) conic rows over MONOMIALS.
 
-    Sylvester rows 1 and 3 are the two conic rows; the stack keeps their
-    dtype.
+    ``rows`` is what ``original_equations`` returns; Sylvester rows 1 and 3
+    are the two conic rows.  Ring-agnostic: floats give the online matrix,
+    Python ints in an ``object`` array the exact one; the stack keeps the
+    dtype of ``rows``.
     """
-    return np.append(rows, 0)[_LAYOUT]
-
-
-def matrix_stack(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """(3, 4, 4) coefficient stack of M(y) for two 3x3 conic matrices.
-
-    Reads the upper triangles only.  Ring-agnostic: floats give the online
-    matrix, Python ints in an ``object`` array give the exact one; the
-    stack keeps their dtype.
-    """
-    rows = [_conic_row(c1), _conic_row(c2)]
-    return _rows_stack(np.array(rows, dtype=np.result_type(c1, c2)))
-
-
-def build(rows: np.ndarray) -> np.ndarray:
-    """M(y) of the (2, 6) conic rows that ``original_equations`` returns."""
     if max(abs(rows[0, 0]), abs(rows[1, 0])) < LEADING_TOL:
         raise DegenerateDataError(
             "rotate coordinates: both conics lack an x^2 term"
         )
-    return _rows_stack(rows)
+    return np.append(rows, 0)[_LAYOUT]
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -122,7 +108,7 @@ def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     stand for two generic symmetric conics.
     """
     c1, c2 = rng.integers(1, p, size=(2, 3, 3)).astype(object)
-    return matrix_stack(c1, c2) % p
+    return build(np.array([_conic_row(c1), _conic_row(c2)], dtype=object)) % p
 
 
 def _conics_through(points: np.ndarray, rng: np.random.Generator) -> tuple:

@@ -143,34 +143,22 @@ class FivePointData:
             object.__setattr__(self, name, pts / norms[:, None])
 
 
-def _cubics_stack(cubics: np.ndarray) -> np.ndarray:
+def build(cubics: np.ndarray) -> np.ndarray:
     """(4, 10, 10) stack of M(z) from the (10, 20) cubics over MON3.
 
-    Row i of M(z) is cubic i split by powers of z; the stack keeps the
-    dtype of ``cubics``.
+    ``cubics`` is what ``original_equations`` returns; row i of M(z) is
+    cubic i split by powers of z.  Ring-agnostic like
+    ``constraint_vectors``: the stack keeps the dtype of ``cubics``.
     """
     stack = np.zeros((4, 10, 10), dtype=cubics.dtype)
     stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = cubics
     return stack
 
 
-def matrix_stack(e_basis: np.ndarray) -> np.ndarray:
-    """(4, 10, 10) coefficient stack of M(z) for a (4, 3, 3) E-basis.
-
-    Ring-agnostic like ``constraint_vectors``: the stack keeps the dtype
-    of ``e_basis``.
-    """
-    return _cubics_stack(constraint_vectors(np.asarray(e_basis)))
-
-
-def build(cubics: np.ndarray) -> np.ndarray:
-    """M(z) of the (10, 20) cubics that ``original_equations`` returns."""
-    return _cubics_stack(cubics)
-
-
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     """M(z) over Z_p from random residues for the 36 E-basis entries."""
-    return matrix_stack(rng.integers(1, p, size=(4, 3, 3)).astype(object)) % p
+    e_basis = rng.integers(1, p, size=(4, 3, 3)).astype(object)
+    return build(constraint_vectors(e_basis)) % p
 
 
 def original_equations(data: FivePointData) -> np.ndarray:

@@ -9,11 +9,13 @@ it, and root it through its companion matrix.  Back-substitution then
 runs on all real candidate roots at once, in float64: one Horner pass
 evaluates the matrix at every root, and every Cramer-rule ratio of every
 root comes from one batched LU call on a stack of column-replaced
-submatrices, gathered through the Cramer rules the template compiled once.
-Only roots whose deletion submatrix is singular retry the alternate
-deletion pairs.  The original equations are rows of the matrix (the
-problem names them in ``equation_rows``), so each candidate's residual is
-read from M(z) v(x) at its root, with no second pass over the equations.
+submatrices, gathered from [M | -M] through the index that the template
+compiled once for its deletion pair.  Roots whose deletion submatrix is
+singular retry the alternate deletion pairs together, one rule at a time,
+and each keeps the first that works.  The original equations are rows of
+the matrix (the problem names them in ``equation_rows``), so each
+candidate's residual is read from M(z) v(x) at its root, with no second
+pass over the equations.
 Candidates stay (R, n) and (R,) arrays through ranking, merging and the
 residual threshold; only the accepted ones become ``CandidateSolution``
 objects.  A problem with a second frame (``five_point``) re-solves an
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrixpoly import det_complex, evaluate_at
-from .offline import CramerRule, SolverTemplate, cramer_rule
+from .offline import SolverTemplate
 from .problems import DegenerateDataError, get_problem
 from .rootfind import real_candidates, roots
 from .spectral import batched_eval, recover_coefficients, trim
@@ -68,39 +70,31 @@ class SolutionSet:
     roots_found: int  # real candidate vectors that reached residual ranking
 
 
-def cramer_at(m_at_roots: np.ndarray, rule: CramerRule) -> tuple:
+def cramer_at(m_at_roots: np.ndarray, index: np.ndarray) -> tuple:
     """Every recovered variable at every root, as Cramer determinant ratios.
 
     ``m_at_roots`` is the (R, N, N) stack of the matrix evaluated at R
-    hidden-variable values, and ``rule`` a compiled deletion pair (i, j):
-    row i and column j are removed, and the negated column j, without row
-    i, is the right-hand side.  Variable w (ascending order of the rule's
-    recovery pairs) is det(replace column j1) / det(replace column j2) for
-    its pair (j1, j2); the shared b_j normalization cancels, so the result
-    does not depend on the deleted column's monomial.  The (R, 2W, N-1,
-    N-1) stack of all 2W submatrices of all R roots is one gather from
-    [M | -M[:, j]], and its determinants one batched LU call.
+    hidden-variable values, and ``index`` a deletion pair (i, j) with its
+    recovery pairs, compiled by ``offline.cramer_rule``: row i and column j
+    are removed, and the negated column j, without row i, is the
+    right-hand side.  Variable w (ascending order of the recovery pairs) is
+    det(replace column j1) / det(replace column j2) for its pair (j1, j2);
+    the shared b_j normalization cancels, so the result does not depend on
+    the deleted column's monomial.  The (R, 2W, N-1, N-1) stack of all 2W
+    submatrices of all R roots is one gather from [M | -M], and its
+    determinants one batched LU call.
 
     Returns (values, singular), both (R, W): the ratios, in the dtype of
     ``m_at_roots`` (float64 at real roots), and whether the denominator
     fell below SINGULAR_FLOOR (the value is then meaningless).
     """
     count = len(m_at_roots)
-    j = rule.deletion_pair[1]
-    extended = np.concatenate((m_at_roots, -m_at_roots[:, :, j : j + 1]), axis=2)
-    stack = extended.reshape(count, -1)[:, rule.index]
+    extended = np.concatenate((m_at_roots, -m_at_roots), axis=2)
+    stack = extended.reshape(count, -1)[:, index]
     dets = det_complex(stack).reshape(count, -1, 2)
     numer, denom = dets[..., 0], dets[..., 1]
     singular = np.abs(denom) < SINGULAR_FLOOR
     return numer / np.where(singular, 1.0, denom), singular
-
-
-def cramer_ratios(
-    m_at_roots: np.ndarray, deletion_pair: tuple, recovery_pairs: dict
-) -> tuple:
-    """``cramer_at`` for a deletion pair and recovery pairs given directly."""
-    rule = cramer_rule(m_at_roots.shape[-1], deletion_pair, recovery_pairs)
-    return cramer_at(m_at_roots, rule)
 
 
 def equation_values(
@@ -123,9 +117,10 @@ def _back_substitute(
 ) -> tuple:
     """(coords, m_at_roots) of the roots that back-substitution keeps.
 
-    A root whose primary deletion pair is singular for some variable
-    retries the template's alternate rules one at a time until one is non-singular
-    for every variable (kept) or the alternates run out (discarded).
+    Roots whose primary deletion pair is singular for some variable retry
+    the template's alternate rules in order, all still-singular roots at
+    once, so each keeps the first rule that is non-singular for every
+    variable; roots left when the alternates run out are discarded.
     ``coords`` is (R, n) with the hidden value in its column, and
     ``m_at_roots`` the (R, N, N) matrix at the kept roots, both in root
     order.
@@ -137,16 +132,18 @@ def _back_substitute(
     coords = np.empty((len(hidden_values), template.n_vars))
     coords[:, template.hidden_index] = hidden_values
     coords[:, template.recovered_columns] = values
-    keep = ~singular.any(axis=1)
-    if keep.all():
+    pending = np.flatnonzero(singular.any(axis=1))
+    if not len(pending):
         return coords, m_at_roots
-    for root in np.flatnonzero(~keep):
-        for rule in template.alternate_rules:
-            values, singular = cramer_at(m_at_roots[root : root + 1], rule)
-            if not singular.any():
-                coords[root, template.recovered_columns] = values[0]
-                keep[root] = True
-                break
+    for index in template.alternate_rules:
+        values, singular = cramer_at(m_at_roots[pending], index)
+        solved = ~singular.any(axis=1)
+        coords[pending[solved, None], template.recovered_columns] = values[solved]
+        pending = pending[~solved]
+        if not len(pending):
+            break
+    keep = np.ones(len(coords), dtype=bool)
+    keep[pending] = False
     return coords[keep], m_at_roots[keep]
 
 
@@ -158,22 +155,6 @@ def _residuals(
     equations = equation_values(m_at_roots, template.exponents, points, rows)
     norms = np.sqrt(np.add.reduce(coords * coords, axis=1))  # np.linalg.norm's sum
     return np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
-
-
-def _assemble_candidates(
-    stack: np.ndarray,
-    template: SolverTemplate,
-    hidden_values: np.ndarray,
-    rows: tuple,
-) -> tuple:
-    """Back-substituted candidate vectors and their normalized residuals.
-
-    Returns (coords, residuals), (R, n) and (R,), for the R roots that
-    back-substitution keeps, in root order.  The residual is max over
-    ``rows`` of |M(z) v(x)| / |x|.
-    """
-    coords, m_at_roots = _back_substitute(stack, template, hidden_values)
-    return coords, _residuals(m_at_roots, template, coords, rows)
 
 
 def _deduplicate(x: np.ndarray) -> list:
@@ -283,9 +264,8 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
     candidate_roots, hidden_values = _hidden_roots(stack, template)
-    coords, residuals = _assemble_candidates(
-        stack, template, hidden_values, problem.equation_rows
-    )
+    coords, m_at_roots = _back_substitute(stack, template, hidden_values)
+    residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
     result = _select(coords, residuals, template.r, candidate_roots)
     if result.failed and problem.second_frame is not None:
         retried = _second_frame(problem, data, stack, template)

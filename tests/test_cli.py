@@ -11,6 +11,12 @@ from resultant_solve.offline import TemplateError, template_to_json
 from resultant_solve.problems import get_problem
 
 
+def _set_cpus(monkeypatch, count):
+    """Make ``cli`` see ``count`` usable CPUs, from either source it reads."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -244,7 +250,7 @@ class TestBench:
     @pytest.fixture()
     def two_cpus(self, monkeypatch):
         # so that jobs=2 starts a worker process also on a one-CPU machine
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
 
     @staticmethod
     def _untimed(report) -> dict:
@@ -296,14 +302,22 @@ class TestBench:
         assert err.startswith("error:") and "jobs" in err
 
     def test_chunks_are_contiguous_and_capped(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        _set_cpus(monkeypatch, 8)
         for trials, jobs, n in [(1000, 2, 2), (5, 100000, 5), (1000, 100000, 8), (7, 3, 3)]:
             chunks = cli._chunks(trials, jobs)
             assert len(chunks) == n
             assert [i for c in chunks for i in c] == list(range(trials))
             assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        # without an affinity mask, an unknown CPU count means one process
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._chunks(10, 4) == [range(10)]
+
+    def test_chunks_capped_by_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one CPU of a 64-CPU machine starts no worker
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._chunks(1000, 64) == [range(1000)]
 
     @pytest.mark.parametrize("cpus, trials, workers", [(8, 50, 7), (8, 3, 2), (2, 50, 1)])
     def test_pool_size_capped(self, monkeypatch, cpus, trials, workers):
@@ -326,7 +340,7 @@ class TestBench:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
         report, counts = cli.run_bench("conic", trials, 1, 100000)
         assert sizes == [workers]

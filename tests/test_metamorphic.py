@@ -22,8 +22,10 @@ Nehalem and Prescott, numpy 2.4.6 with OpenBLAS 0.3.31, Python 3.11):
 the comment next to each limit gives the spread, and the limit sits above
 the worst of them.  A later change may tighten a limit; it may loosen one
 only after measuring the unchanged solver above it on a new platform.
-Both relations also require every instance to accept a solution, so a
-solver that rejects everything cannot pass them vacuously.
+The three tolerance relations (the ``conic`` swap of the two conics, the
+``five_point`` permutation of the correspondences and the ``five_point``
+swap of the two views) also require every instance to accept a solution,
+so a solver that rejects everything cannot pass them vacuously.
 
 Mutations the relations were checked against, each on a deliberately
 broken copy of the code:
@@ -31,15 +33,19 @@ broken copy of the code:
 - back-substitution at the real roots in float32 (Horner and Cramer):
   the ``conic`` swap's median distance becomes 6.0e-8, and the
   ``five_point`` count differs in 102 of 400 instances, with a median
-  distance of 5.0e-6;
+  distance of 5.0e-6; under the view swap (the matrix at the roots
+  rounded to float32 before Cramer) it differs in 113 of 400, with a
+  median distance of 3.9e-6;
 - back-substitution that skips the last Cramer variable (x for
   ``conic``, y for ``five_point``): both fail, because every candidate is
   then rejected;
 - an epipolar matrix that pairs each point of view b with the previous
   point of view a: the solver then solves a consistent but wrong system
   whose answer depends on the order of the correspondences, and the
-  ``five_point`` count differs in 208 of 400 instances.  The ``conic``
-  swap does not involve this code.
+  ``five_point`` count differs in 208 of 400 instances.  Under the view
+  swap it differs in 98 of 400, with a median distance of 0.80: in the
+  original labels, the swapped instance pairs each point of view b with
+  the next point of view a instead.  The ``conic`` swap does not involve this code.
 
 Two relations are exact: scaling a conic, or a homogeneous image point,
 by a power of two changes no bit of the data after the constructors'
@@ -73,6 +79,11 @@ FIVE_POINT_INSTANCES = 400
 FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
 FIVE_POINT_MAX_MEDIAN_DISTANCE = 1e-10  # measured 1.6e-11 .. 2.1e-11
 FIVE_POINT_MAX_DISTANCE = 6e-4  # measured 3.3e-5 .. 4.0e-4
+
+VIEW_SWAP_INSTANCES = 400
+VIEW_SWAP_MAX_MISMATCHES = 10  # measured 7 under every kernel
+VIEW_SWAP_MAX_MEDIAN_DISTANCE = 1e-10  # measured 2.7e-11 .. 3.1e-11
+VIEW_SWAP_MAX_DISTANCE = 5e-5  # measured 6.5e-6 .. 2.9e-5
 
 SCALING_INSTANCES = 100
 SCALING_EXPONENTS = (-900, -37, -1, 1, 5, 64, 900)
@@ -147,6 +158,29 @@ def test_five_point_permuted_correspondences(five_point_template):
     assert mismatches <= FIVE_POINT_MAX_MISMATCHES
     assert median <= FIVE_POINT_MAX_MEDIAN_DISTANCE
     assert worst <= FIVE_POINT_MAX_DISTANCE
+
+
+def test_five_point_swap_of_the_views(five_point_template):
+    # b^T E a = 0 is a^T E^T b = 0: the swapped views have essential
+    # matrix E^T (transposing keeps the largest entry and its sign)
+    problem = get_problem("five_point")
+
+    def pairs():
+        for i in range(VIEW_SWAP_INSTANCES):
+            data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+            swapped = FivePointData(data.pts_b, data.pts_a)
+            yield (
+                _essentials(data, _accepted(five_point_template, data)),
+                [
+                    e.reshape(3, 3).T.ravel()
+                    for e in _essentials(swapped, _accepted(five_point_template, swapped))
+                ],
+            )
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= VIEW_SWAP_MAX_MISMATCHES
+    assert median <= VIEW_SWAP_MAX_MEDIAN_DISTANCE
+    assert worst <= VIEW_SWAP_MAX_DISTANCE
 
 
 def _same_solution_set(a, b) -> bool:

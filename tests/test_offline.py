@@ -162,11 +162,12 @@ class TestDetectDegree:
         assert detect_degree(specialize(get_problem("conic"), 0)) == 4
 
     def test_conic_degree_matches_exact_oracle(self):
-        # integer conic pairs through the same stack function
+        # integer conic pairs through the problem's own build
         rng = np.random.default_rng(2)
         for _ in range(5):
             c1, c2 = rng.integers(1, 9, size=(2, 3, 3)).astype(float)
-            assert len(det_poly_exact(conic.matrix_stack(c1, c2))) - 1 == 4
+            rows = np.array([conic._conic_row(c1), conic._conic_row(c2)])
+            assert len(det_poly_exact(conic.build(rows))) - 1 == 4
 
     def test_five_point_degree_ten(self):
         assert detect_degree(specialize(get_problem("five_point"), 0)) == 10
@@ -407,7 +408,7 @@ class TestSolutionCountOracles:
         # every complex root of the determinant polynomial solves the
         # original system: no extraneous factor, so r = k for both problems
         from resultant_solve.matrixpoly import det_complex, evaluate_at
-        from resultant_solve.recover import cramer_ratios
+        from resultant_solve.recover import cramer_at
         from resultant_solve.rootfind import roots
         from resultant_solve.spectral import batched_eval, recover_coefficients, trim
 
@@ -420,9 +421,7 @@ class TestSolutionCountOracles:
             det_poly = trim(recover_coefficients(samples))
             assert len(det_poly) - 1 == template.k
             hidden = roots(det_poly)
-            values, _ = cramer_ratios(
-                evaluate_at(stack, hidden), template.deletion_pair, template.recovery_pairs
-            )
+            values, _ = cramer_at(evaluate_at(stack, hidden), template.primary_rule)
             for root, recovered in zip(hidden, values):
                 point = [0j] * problem.n_vars
                 point[problem.hidden_index] = root

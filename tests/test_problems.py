@@ -265,18 +265,22 @@ class TestSharedProperties:
             np.testing.assert_allclose(np.abs(got).max(axis=1), oracle, rtol=1e-12)
 
     def test_stack_functions_are_ring_agnostic(self):
-        # one layout for both rings: on integer parameters the float stack
-        # (online build) and the Python-int stack (offline Z_p matrix) agree
+        # one layout for both rings: on integer parameters each problem's
+        # build gives the float stack (online) and the Python-int stack
+        # (offline Z_p matrix) that agree
         rng = np.random.default_rng(13)
         for _ in range(5):
             e_basis = rng.integers(-50, 51, size=(4, 3, 3))
             c1, c2 = rng.integers(-50, 51, size=(2, 3, 3))
-            for stack_fn, params in (
-                (five_point.matrix_stack, (e_basis,)),
-                (conic.matrix_stack, (c1, c2)),
+            for build, equations in (
+                (five_point.build, lambda dt: five_point.constraint_vectors(e_basis.astype(dt))),
+                (
+                    conic.build,
+                    lambda dt: np.array([conic._conic_row(c.astype(dt)) for c in (c1, c2)], dtype=dt),
+                ),
             ):
-                exact = stack_fn(*(p.astype(object) for p in params))
-                floats = stack_fn(*(p.astype(float) for p in params))
+                exact = build(equations(object))
+                floats = build(equations(float))
                 assert exact.dtype == object and floats.dtype == float
                 assert all(type(v) is int for v in exact.ravel())
                 assert exact.shape == floats.shape

@@ -4,13 +4,13 @@ import pytest
 import equation_oracles
 from resultant_solve import recover
 from resultant_solve.matrixpoly import evaluate_at
-from resultant_solve.offline import SolverTemplate, build_template
+from resultant_solve.offline import SolverTemplate, build_template, cramer_rule
 from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import five_point, generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
 from resultant_solve.recover import (
     SolveError,
-    cramer_ratios,
+    cramer_at,
     solution_set_to_json,
     solve_online,
 )
@@ -72,13 +72,13 @@ class TestCramerRatio:
         # the deletion submatrix is the identity, so the reduced solution is
         # the right-hand side -(a, b) and the ratio is a / b
         m = np.array([[1.0, 1.0, 1.0], [5.0, 1.0, 0.0], [7.0, 0.0, 1.0]])
-        values, singular = cramer_ratios(m[None].astype(complex), (0, 0), {1: (1, 2)})
+        values, singular = cramer_at(m[None].astype(complex), cramer_rule(3, (0, 0), {1: (1, 2)}))
         assert values[0, 0] == pytest.approx(5.0 / 7.0)
         assert not singular.any()
 
     def test_diagonal(self):
         m = np.array([[1.0, 1.0, 1.0], [-2.0, 2.0, 0.0], [-8.0, 0.0, 4.0]])
-        values, _ = cramer_ratios(m[None].astype(complex), (0, 0), {1: (1, 2)})
+        values, _ = cramer_at(m[None].astype(complex), cramer_rule(3, (0, 0), {1: (1, 2)}))
         assert values[0, 0] == pytest.approx(0.5)  # (2/2) / (8/4)
 
     def test_matches_linear_solve_oracle(self):
@@ -86,7 +86,7 @@ class TestCramerRatio:
         rng = np.random.default_rng(0)
         pairs = {0: (0, 3), 1: (7, 2), 3: (5, 6)}
         m = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))
-        values, singular = cramer_ratios(m, (4, 1), pairs)
+        values, singular = cramer_at(m, cramer_rule(9, (4, 1), pairs))
         assert values.shape == singular.shape == (6, 3) and not singular.any()
         for got, mat in zip(values, m):
             sub = np.delete(np.delete(mat, 4, axis=0), 1, axis=1)
@@ -99,23 +99,23 @@ class TestCramerRatio:
         # real candidate roots take real LU determinants, so the recovered
         # coordinates carry no imaginary part to check
         m = np.random.default_rng(3).standard_normal((4, 3, 3))
-        values, singular = cramer_ratios(m, (0, 0), {1: (1, 2)})
+        index = cramer_rule(3, (0, 0), {1: (1, 2)})
+        values, singular = cramer_at(m, index)
         assert values.dtype == np.float64 and not singular.any()
-        want, _ = cramer_ratios(m.astype(complex), (0, 0), {1: (1, 2)})
+        want, _ = cramer_at(m.astype(complex), index)
         assert np.allclose(values, want.real, rtol=1e-13, atol=0)
 
     def test_singular_rejected(self):
         m = np.zeros((2, 3, 3), dtype=complex)
         m[1] = np.eye(3)
         m[1, 1:, 0] = 1.0
-        _, singular = cramer_ratios(m, (0, 0), {1: (1, 2)})
+        _, singular = cramer_at(m, cramer_rule(3, (0, 0), {1: (1, 2)}))
         assert singular.tolist() == [[True], [False]]
 
     def test_column_range_checked(self):
-        m = np.eye(3, dtype=complex)[None]
         for pairs in ({1: (1, 5)}, {1: (0, 2)}):  # out of range; deleted column
             with pytest.raises(ValueError):
-                cramer_ratios(m, (0, 0), pairs)
+                cramer_rule(3, (0, 0), pairs)
 
     @pytest.mark.parametrize("pid", ["conic", "five_point"])
     def test_stack_matches_per_root_reference(self, pid, request):
@@ -129,9 +129,7 @@ class TestCramerRatio:
             stack = problem.build(problem.original_equations(data))
             hidden = _real_hidden_roots(stack, template)
             m_at_roots = evaluate_at(stack, hidden)
-            values, singular = cramer_ratios(
-                m_at_roots, template.deletion_pair, template.recovery_pairs
-            )
+            values, singular = cramer_at(m_at_roots, template.primary_rule)
             assert not singular.any()
             for got, m in zip(values, m_at_roots):
                 want = _reference_ratios(m, template.deletion_pair, template.recovery_pairs)
@@ -146,7 +144,7 @@ class TestRecoverVariable:
         rng = np.random.default_rng(1)
         m = _matrix_with_null_vector(rng, np.array([9.0, 3.0, 1.0]))
         template = _toy_template()
-        values, _ = cramer_ratios(m[None], template.deletion_pair, template.recovery_pairs)
+        values, _ = cramer_at(m[None], template.primary_rule)
         assert values[0, 0] == pytest.approx(3.0, abs=1e-10)
 
     def test_zero_coordinate(self):
@@ -154,7 +152,7 @@ class TestRecoverVariable:
         rng = np.random.default_rng(2)
         m = _matrix_with_null_vector(rng, np.array([0.0, 0.0, 1.0]))
         template = _toy_template()
-        values, _ = cramer_ratios(m[None], template.deletion_pair, template.recovery_pairs)
+        values, _ = cramer_at(m[None], template.primary_rule)
         assert values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_conic_instance_coordinates(self, conic_template):
@@ -162,9 +160,7 @@ class TestRecoverVariable:
         data, gts = problem.generate_instance(np.random.default_rng(3))
         stack = problem.build(problem.original_equations(data))
         m_at_roots = evaluate_at(stack, [gt[1] for gt in gts])  # y is hidden
-        values, singular = cramer_ratios(
-            m_at_roots, conic_template.deletion_pair, conic_template.recovery_pairs
-        )
+        values, singular = cramer_at(m_at_roots, conic_template.primary_rule)
         assert not singular.any()
         for got, gt in zip(values[:, 0], gts):
             assert abs(got - gt[0]) < 1e-8
@@ -193,9 +189,7 @@ class TestBackSubstitution:
         m1 = _matrix_with_null_vector(np.random.default_rng(5), np.array([9.0, 3.0, 1.0]))
         stack = np.stack([m0, m1.real - m0])
         shapes = self._spy_dets(monkeypatch)
-        found, _ = recover._assemble_candidates(
-            stack, _toy_template(), np.array([0.0, 1.0]), (0, 1, 2)
-        )
+        found, _ = recover._back_substitute(stack, _toy_template(), np.array([0.0, 1.0]))
         # both roots, one variable, num + den; then v = 0 alone tries the
         # alternates (0, 2) (singular again: rows 1 and 2 stay) and (1, 0)
         assert shapes == [(2, 2, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2)]
@@ -203,13 +197,47 @@ class TestBackSubstitution:
         assert found[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert found[1, 1] == pytest.approx(3.0, abs=1e-10)
 
-    @staticmethod
-    def _fake_ratios(monkeypatch, primary, alternate):
+    def test_each_singular_root_takes_its_own_first_usable_rule(self, monkeypatch):
+        # both roots are singular under the template pair (0, 0).  At v = 0
+        # the first alternate (0, 2) works; at v = 1 rows 1 and 2 are
+        # parallel, so (0, 2) is singular too and the second alternate
+        # (1, 0) is the first usable one.
+        m0 = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+        m1 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
+        template = _toy_template()
+        first, second = ((0, 2), {1: (0, 1)}), ((1, 0), {1: (1, 2)})
+        for rule, (pair, pairs) in zip(template.alternate_rules, (first, second)):
+            assert np.array_equal(rule, cramer_rule(3, pair, pairs))
+        shapes = self._spy_dets(monkeypatch)
+        found, m_at_roots = recover._back_substitute(
+            np.stack([m0, m1 - m0]), template, np.array([0.0, 1.0])
+        )
+        # the primary, then the first alternate on both singular roots at
+        # once, then the second on the one root still singular
+        assert shapes == [(2, 2, 2, 2), (2, 2, 2, 2), (1, 2, 2, 2)]
+        assert found[:, 0].tolist() == [0.0, 1.0]
+        assert np.array_equal(m_at_roots, [m0, m1])
+        assert found[0, 1] == pytest.approx(_reference_ratios(m0, *first)[0], abs=1e-12)
+        assert found[1, 1] == pytest.approx(_reference_ratios(m1, *second)[0], abs=1e-12)
+
+    def test_roots_singular_under_every_rule_are_discarded(self, monkeypatch):
+        # every 2x2 minor of the all-ones matrix vanishes, so both roots
+        # try the primary and every alternate together and are dropped
+        template = _toy_template()
+        shapes = self._spy_dets(monkeypatch)
+        found, m_at_roots = recover._back_substitute(
+            np.ones((1, 3, 3)), template, np.array([0.5, 2.0])
+        )
+        assert found.shape == (0, 2) and m_at_roots.shape == (0, 3, 3)
+        assert recover._residuals(m_at_roots, template, found, (0, 1, 2)).shape == (0,)
+        assert shapes == [(2, 2, 2, 2)] * (1 + len(template.alternate_rules))
+
+    def _fake_ratios(self, monkeypatch, primary, alternate):
         calls = []
 
-        def fake(m_at_roots, rule):
-            calls.append(rule.deletion_pair)
-            return primary if rule.deletion_pair == (0, 3) else alternate
+        def fake(m_at_roots, index):
+            calls.append(index)
+            return primary if index is self._TOY3.primary_rule else alternate
 
         monkeypatch.setattr(recover, "cramer_at", fake)
         return calls
@@ -227,9 +255,10 @@ class TestBackSubstitution:
     )
 
     def _three_var_candidates(self):
-        return recover._assemble_candidates(
-            np.eye(4)[None], self._TOY3, np.array([0.5]), (0, 1, 2, 3)
+        coords, m_at_roots = recover._back_substitute(
+            np.eye(4)[None], self._TOY3, np.array([0.5])
         )
+        return coords, recover._residuals(m_at_roots, self._TOY3, coords, (0, 1, 2, 3))
 
     def test_singular_then_working_alternate_takes_the_fallback(self, monkeypatch):
         calls = self._fake_ratios(
@@ -239,7 +268,7 @@ class TestBackSubstitution:
         )
         found, _ = self._three_var_candidates()
         assert found.tolist() == [[0.5, 2.0, 3.0]]
-        assert calls[0] == (0, 3) and len(calls) == 2
+        assert calls[0] is self._TOY3.primary_rule and len(calls) == 2
 
     def test_singular_under_every_pair_is_discarded(self, monkeypatch):
         calls = self._fake_ratios(
@@ -249,9 +278,11 @@ class TestBackSubstitution:
         )
         found, residuals = self._three_var_candidates()
         assert found.shape == (0, 3) and residuals.shape == (0,)
-        alternates = [rule.deletion_pair for rule in self._TOY3.alternate_rules]
+        alternates = self._TOY3.alternate_rules
         assert len(alternates) > 1
-        assert calls == [(0, 3)] + alternates  # every alternate was tried
+        # every alternate was tried, in order
+        assert calls[0] is self._TOY3.primary_rule and len(calls) == 1 + len(alternates)
+        assert all(call is rule for call, rule in zip(calls[1:], alternates))
 
 
 class TestDeduplicate:
