@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateDataError, Problem
-from .sylvester import sylvester_stack
+from .base import DegenerateDataError, Problem, matrix_layout
 
 HIDDEN_INDEX = 1  # y is hidden; x is eliminated by the Sylvester matrix
 BASIS = ((3,), (2,), (1,), (0,))
-# Sylvester rows 0 and 2 are x f1 and x f2; rows 1 and 3 are f1 and f2
-# with exactly _conic_row's coefficients
-EQUATION_ROWS = (1, 3)
+# the Sylvester rows x f1, f1, x f2, f2 as (equation, multiplier) pairs
+ROWS = ((0, (1,)), (0, (0,)), (1, (1,)), (1, (0,)))
+EQUATION_ROWS = tuple(r for r, (_, u) in enumerate(ROWS) if not any(u))
 EXPECTED_SOLUTIONS = 4
 
 # both leading x^2 coefficients (near-)zero: the Sylvester determinant
@@ -56,6 +55,7 @@ class ConicPairData:
 
 # monomials (x^2, x y, y^2, x, y, 1) of the conic rows, over (x, y)
 MONOMIALS = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)])
+_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS, HIDDEN_INDEX)
 
 
 def _conic_row(c: np.ndarray) -> list:
@@ -67,32 +67,13 @@ def original_equations(data: ConicPairData) -> np.ndarray:
     return np.array([_conic_row(data.c1), _conic_row(data.c2)])
 
 
-_ZERO = 12  # index of the zero appended to the two conic rows
-
-
-def _sylvester_layout() -> np.ndarray:
-    """(3, 4, 4) index of each entry of M(y) into [f1 row, f2 row, 0].
-
-    A conic's coefficients of x^2, x, 1 (rows) as polynomials in y
-    (ascending) are entries of its row over MONOMIALS, or zero.
-    """
-    first = np.array([[0, _ZERO, _ZERO], [3, 1, _ZERO], [5, 4, 2]])
-    second = np.where(first == _ZERO, _ZERO, first + 6)
-    # shifted by one so that index 0 differs from sylvester_stack's padding
-    layout = sylvester_stack(first + 1, second + 1) - 1
-    return np.where(layout < 0, _ZERO, layout)
-
-
-_LAYOUT = _sylvester_layout()
-
-
 def build(rows: np.ndarray) -> np.ndarray:
     """(3, 4, 4) stack of M(y) from the (2, 6) conic rows over MONOMIALS.
 
-    ``rows`` is what ``original_equations`` returns; Sylvester rows 1 and 3
-    are the two conic rows.  Ring-agnostic: floats give the online matrix,
-    Python ints in an ``object`` array the exact one; the stack keeps the
-    dtype of ``rows``.
+    ``rows`` is what ``original_equations`` returns, gathered into the
+    rows x f1, f1, x f2, f2 of ``ROWS``.  Ring-agnostic: floats give the
+    online matrix, Python ints in an ``object`` array the exact one; the
+    stack keeps the dtype of ``rows``.
     """
     if max(abs(rows[0, 0]), abs(rows[1, 0])) < LEADING_TOL:
         raise DegenerateDataError(

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateDataError, Problem
+from .base import DegenerateDataError, Problem, matrix_layout
 
 HIDDEN_INDEX = 2
 BASIS = (
     (3, 0), (0, 3), (2, 1), (1, 2), (2, 0),
     (0, 2), (1, 1), (1, 0), (0, 1), (0, 0),
 )
-EQUATION_ROWS = tuple(range(10))  # one matrix row per cubic
+ROWS = tuple((e, (0, 0)) for e in range(10))  # each cubic, multiplier 1
+EQUATION_ROWS = tuple(r for r, (_, u) in enumerate(ROWS) if not any(u))
 EXPECTED_SOLUTIONS = 10
 
 RANK_TOL = 1e-9
@@ -45,6 +46,7 @@ MON1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]  # x, y, z, 1
 MON3 = _monomials(3)
 _IDX3 = {e: i for i, e in enumerate(MON3)}
 MONOMIALS = np.array(MON3)  # the cubics' monomial table, over (x, y, z)
+_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS, HIDDEN_INDEX)
 
 
 def _scatter_matrix() -> np.ndarray:
@@ -70,14 +72,6 @@ def _levi_civita() -> np.ndarray:
 
 _SCATTER = _scatter_matrix()
 _LEVI_CIVITA = _levi_civita()
-# the online path's float copies; exact ``object`` input casts per call
-_FLOAT_TABLES = (_LEVI_CIVITA.astype(float), _SCATTER.astype(float))
-
-# cubic monomial -> (column in BASIS, z power) for the hidden-variable split
-_BASIS_IDX = {e: i for i, e in enumerate(BASIS)}
-_COL_OF_MON3 = np.array([_BASIS_IDX[(a, b)] for a, b, _ in MON3])
-_ZPOW_OF_MON3 = np.array([c for _, _, c in MON3])
-_EQUATIONS = np.array(EQUATION_ROWS)[:, None]
 
 
 def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
@@ -91,15 +85,11 @@ def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
     exact ``object`` arrays of Python ints alike.
     """
     e = np.asarray(e_basis)
-    if e.dtype == np.float64:
-        levi_civita, scatter = _FLOAT_TABLES
-    else:
-        levi_civita, scatter = _LEVI_CIVITA.astype(e.dtype), _SCATTER.astype(e.dtype)
     rows = e.reshape(12, 3)  # row r of E_a at 3a + r
     flat = e.reshape(4, 9)
     # E_b[1] (x) E_c[2] for every (b, c), contracted to cross products
     outer = (e[:, None, 1, :, None] * e[None, :, 2, None, :]).reshape(16, 9)
-    det = (e[:, 0] @ levi_civita) @ outer.T  # [a, 4b + c]
+    det = (e[:, 0] @ _LEVI_CIVITA) @ outer.T  # [a, 4b + c]
     # (E_a E_b^T)[r, s] at [12a + 4r + b, s], then times E_c[s, col]
     gram = (rows @ rows.T).reshape(48, 3)
     eet_e = (gram @ e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
@@ -107,7 +97,7 @@ def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
     trace = flat @ flat.T  # tr(E_a E_b^T)
     trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
     forms = np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
-    return forms @ scatter
+    return forms @ _SCATTER
 
 
 def _nullspace_basis(data: "FivePointData") -> np.ndarray:
@@ -147,12 +137,11 @@ def build(cubics: np.ndarray) -> np.ndarray:
     """(4, 10, 10) stack of M(z) from the (10, 20) cubics over MON3.
 
     ``cubics`` is what ``original_equations`` returns; row i of M(z) is
-    cubic i split by powers of z.  Ring-agnostic like
-    ``constraint_vectors``: the stack keeps the dtype of ``cubics``.
+    cubic i split by powers of z, gathered through the layout of
+    ``ROWS``.  Ring-agnostic like ``constraint_vectors``: the stack keeps
+    the dtype of ``cubics``.
     """
-    stack = np.zeros((4, 10, 10), dtype=cubics.dtype)
-    stack[_ZPOW_OF_MON3, _EQUATIONS, _COL_OF_MON3] = cubics
-    return stack
+    return np.append(cubics, 0)[_LAYOUT]
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:

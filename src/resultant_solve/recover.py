@@ -202,10 +202,6 @@ def _select(
 
 def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     """(number of complex roots, real hidden values) of det M for one stack."""
-    if stack.shape[-1] != template.size:
-        raise SolveError(
-            f"matrix size {stack.shape[-1]} does not match template {template.size}"
-        )
     # det of an N x N matrix of degree-d entries has degree at most N d; a
     # larger k would only let template input size the FFT
     max_degree = template.size * (len(stack) - 1)
@@ -256,9 +252,14 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
 
     When nothing is accepted and the problem has a second frame, the
     instance is solved once more in that frame, and its result replaces
-    the first one if it accepts a solution.
+    the first one if it accepts a solution.  A template whose variables
+    or basis differ from its problem's (and with the basis, its size) is
+    refused: its Cramer rules would read the wrong columns.
     """
     problem = get_problem(template.problem_id)
+    for name in ("n_vars", "hidden_index", "basis"):
+        if getattr(template, name) != getattr(problem, name):
+            raise SolveError(f"template {name} does not match problem {problem.problem_id}")
     try:
         stack = problem.build(problem.original_equations(data))
     except DegenerateDataError as exc:

@@ -225,24 +225,17 @@ def test_criterion_7_rank_deficiency_witness(conic_template, five_point_template
 
 
 def test_criterion_8_inversion_free_audit():
-    # the online path may only reach determinant-returning linear algebra;
+    # the library may only reach determinant-returning linear algebra;
     # svd only finds the five_point nullspace basis and builds instances,
-    # and eigvals roots the companion; offline.py compiles the
-    # Cramer rules the online stage gathers through
+    # and eigvals roots the companion; every module is read, so that a new
+    # one cannot slip past the audit
     forbidden = {"inv", "pinv", "solve", "lstsq", "tensorsolve", "tensorinv"}
-    online_modules = [
-        "recover.py",
-        "offline.py",
-        "matrixpoly.py",
-        "spectral.py",
-        "rootfind.py",
-        "problems/conic.py",
-        "problems/five_point.py",
-        "problems/sylvester.py",
-    ]
+    modules = sorted(SRC.rglob("*.py"))
+    assert SRC / "problems" / "base.py" in modules
     offenders = []
-    for name in online_modules:
-        tree = ast.parse((SRC / name).read_text())
+    for path in modules:
+        name = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in forbidden:
                 offenders.append(f"{name}:{node.lineno} .{node.attr}")
@@ -254,7 +247,7 @@ def test_criterion_8_inversion_free_audit():
     _report(
         8,
         ok,
-        "online call graph free of inverse/solve operations"
+        f"{len(modules)} library modules free of inverse/solve operations"
         + (f"; offenders: {offenders}" if offenders else ""),
     )
 

@@ -189,6 +189,19 @@ class TestSolve:
         assert err.startswith("error:")
 
 
+    def test_template_of_another_basis_exits_1(self, capsys, conic_files):
+        # a valid template whose basis order is not the problem's
+        tpl, datafile, _ = conic_files
+        obj = json.loads(tpl.read_text())
+        n, (i, j) = obj["N"], obj["deletion"]
+        obj["basis"] = obj["basis"][::-1]
+        obj["deletion"] = [i, n - 1 - j]
+        obj["recovery"] = {w: [n - 1 - a, n - 1 - b] for w, (a, b) in obj["recovery"].items()}
+        tpl.write_text(json.dumps(obj))
+        code, out, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
+        assert code == 1 and not out
+        assert err.startswith("error:") and "basis" in err
+
 class TestBench:
     def test_csv_deterministic(self, capsys):
         code, out1, _ = _run(capsys, ["bench", "conic", "--trials", "10", "--seed", "1"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,15 +13,25 @@ XSWAP = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
 
 
 def _cofactor_det(m):
-    """Independent oracle: Laplace expansion along the first row."""
+    """Independent oracle: Laplace expansion along the first row.
+
+    Memoised on the columns a minor keeps: its rows are the last ones, one
+    per column, whichever columns the rows above took, so each of the 2^n
+    minors is expanded once instead of n! / k! times.
+    """
     n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    total = 0.0 + 0.0j
-    for c in range(n):
-        minor = np.delete(m[1:], c, axis=1)
-        total += (-1) ** c * m[0, c] * _cofactor_det(minor)
-    return total
+
+    @functools.cache
+    def minor_det(cols):
+        row = n - len(cols)
+        if len(cols) == 1:
+            return m[row, cols[0]]
+        total = 0.0 + 0.0j
+        for pos, c in enumerate(cols):
+            total += (-1) ** pos * m[row, c] * minor_det(cols[:pos] + cols[pos + 1 :])
+        return total
+
+    return minor_det(tuple(range(n)))
 
 
 def _random_int_stack(rng, n, d, lo=-5, hi=6):

@@ -8,6 +8,7 @@ from resultant_solve.matrixpoly import evaluate_at
 from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import (
     DegenerateDataError,
+    base,
     conic,
     five_point,
     generate_instance,
@@ -50,6 +51,44 @@ class TestRegistry:
     def test_known_problems(self):
         assert get_problem("conic").problem_id == "conic"
         assert get_problem("five_point").problem_id == "five_point"
+
+
+class TestMatrixLayout:
+    # a toy over (x, y, z) with y hidden: f_e = a_e xy + b_e z + c_e y^2 + d_e
+    MONOMIALS = ((1, 1, 0), (0, 0, 1), (0, 2, 0), (0, 0, 0))
+    # f0, z f0, x^2 f1, f1 over the columns (x^3, x, z, 1)
+    ROWS = ((0, (0, 0)), (0, (0, 1)), (1, (2, 0)), (1, (0, 0)))
+    BASIS = ((3, 0), (1, 0), (0, 1), (0, 0))
+
+    @staticmethod
+    def _hand_stack(f0, f1):
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = f0, f1
+        o = 0 * a0  # a zero of the equations' own type
+        return np.array(
+            [
+                # y^0: x^3 is outside the table, and z / x^2, 1 / z are no monomials
+                [[o, o, b0, d0], [o, o, d0, o], [o, o, o, o], [o, o, b1, d1]],
+                # y^1: the x y terms, x^3 y = x^2 (x y) in the x^2 f1 row
+                [[o, a0, o, o], [o, o, o, o], [a1, o, o, o], [o, a1, o, o]],
+                # y^2
+                [[o, o, o, c0], [o, o, c0, o], [o, o, o, o], [o, o, o, c1]],
+            ],
+            dtype=np.asarray(f0).dtype,
+        )
+
+    def test_gather_matches_hand_written_stack(self):
+        layout = base.matrix_layout(self.MONOMIALS, self.ROWS, self.BASIS, 1)
+        assert layout.shape == (3, 4, 4)
+        rng = np.random.default_rng(21)
+        for dtype in (float, object):
+            equations = rng.integers(1, 100, size=(2, 4)).astype(dtype)
+            if dtype is float:
+                equations += rng.standard_normal((2, 4))
+            stack = np.append(equations, 0)[layout]
+            want = self._hand_stack(*equations)
+            assert stack.dtype == want.dtype
+            assert all(type(a) is type(b) for a, b in zip(stack.ravel(), want.ravel()))
+            assert np.array_equal(stack, want)
 
 
 class TestConic:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,47 @@ class TestSolveOnline:
         c2 = np.array([[0.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, -1.0]])
         with pytest.raises(SolveError, match="degenerate instance"):
             solve_online(conic_template, ConicPairData(c1, c2))
+
+    @staticmethod
+    def _mismatched(template, change):
+        """A template that passes its own checks but not its problem's.
+
+        The deletion and recovery pairs follow the change, so each Cramer
+        rule still reads a valid monomial ratio, for the wrong monomials.
+        """
+        n, (i, j) = template.size, template.deletion_pair
+        pairs = template.recovery_pairs
+        if change == "reversed basis":
+            return dataclasses.replace(
+                template,
+                basis=template.basis[::-1],
+                deletion_pair=(i, n - 1 - j),
+                recovery_pairs={w: (n - 1 - a, n - 1 - b) for w, (a, b) in pairs.items()},
+            )
+        if change == "swapped variables":
+            return dataclasses.replace(
+                template,
+                basis=tuple(e[::-1] for e in template.basis),
+                recovery_pairs={0: pairs[1], 1: pairs[0]},
+            )
+        return dataclasses.replace(template, hidden_index=0, recovery_pairs={1: pairs[0]})
+
+    @pytest.mark.parametrize(
+        "pid, change, field",
+        [
+            ("conic", "reversed basis", "basis"),
+            ("conic", "hidden x", "hidden_index"),
+            ("five_point", "swapped variables", "basis"),
+        ],
+    )
+    def test_template_of_another_layout_is_refused(self, request, pid, change, field):
+        # without the check such templates accept residual-small solutions
+        # of the permuted system (1 / x for the reversed conic basis), none
+        # of them the instance's
+        template = self._mismatched(request.getfixturevalue(f"{pid}_template"), change)
+        data, _ = generate_instance(pid, 1)
+        with pytest.raises(SolveError, match=f"template {field} does not match problem {pid}"):
+            solve_online(template, data)
 
     def test_json_shape(self, conic_template):
         data, _ = generate_instance("conic", 8)
