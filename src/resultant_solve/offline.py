@@ -23,12 +23,19 @@ the coprimality test works modulo two fixed 31-bit primes; a pair is
 accepted only if its GCD is constant in both independent specializations,
 which bounds the false-accept probability below ~deg^2/p^2.
 
-Each determinant in Z_p[x] (``det_modular``) is sampled and
-interpolated: the matrix is evaluated at P = N d + 1 points in ``int64``,
-one Gaussian elimination without division in its loop runs over all P
-matrices at once, and Newton divided differences on the points 0..P-1
-give the coefficients in O(P^2).  Residue products must fit in ``int64``,
-so p is limited to (p-1)^2 < 2^63; the 31-bit primes are far inside.
+Determinants in Z_p[x] (``det_modular``) are sampled and interpolated,
+a batch of matrices at a time, each with its own prime.  A determinant
+has degree at most the sum over columns of each column's largest entry
+degree, and likewise over rows; the smaller sum D is 10 for
+``five_point`` and 5 for ``conic``, against N d = 30 and 8, so D + 1
+points fix it.  Every matrix of the batch is evaluated at the points
+0..P-1, P the largest D + 1, in ``int64``; one Gaussian elimination
+without division in its loop runs over all those matrices at once, each
+reduced modulo its own prime; and Newton divided differences give every
+polynomial's coefficients in O(P^2).  Both specializations' first draws
+share one call, and so do the two minors of each candidate deletion
+pair.  Residue products must fit in ``int64``, so p is limited to
+(p-1)^2 < 2^63; the 31-bit primes are far inside.
 """
 
 from __future__ import annotations
@@ -87,14 +94,15 @@ def _zp_gcd(a: list, b: list, p: int) -> list:
     return a
 
 
-def _zp_dets(m: np.ndarray, p: int) -> list:
-    """Determinants mod p of a (P, n, n) ``int64`` stack of residues.
+def _zp_dets(m: np.ndarray, p: np.ndarray) -> list:
+    """Determinants of a (M, n, n) ``int64`` stack of residues, matrix i mod p[i].
 
     Gaussian elimination over the whole stack at once, with no division
     in the loop: the row update  row_i <- pivot * row_i - a_ik * row_k
     scales det by the pivot once per updated row, so per matrix it keeps
     the product of the pivots and of those scalings  pivot^(n-k-1)  and
-    divides once at the end.  ``m`` is overwritten.
+    divides once at the end.  ``p`` is the (M,) ``int64`` array of moduli.
+    ``m`` is overwritten.
     """
     count, n, _ = m.shape
     negated = np.zeros(count, dtype=bool)  # odd number of row swaps
@@ -115,54 +123,88 @@ def _zp_dets(m: np.ndarray, p: int) -> list:
             m[:, k + 1 :, k + 1 :] = (
                 pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
                 - m[:, k + 1 :, k, None] * m[:, k, None, k + 1 :]
-            ) % p
+            ) % p[:, None, None]
     dets = np.where(negated, (p - pivots) % p, pivots).tolist()
     # a zero pivot zeroes the pivot product, and with it the determinant
-    return [v * pow(s, -1, p) % p if v else 0 for v, s in zip(dets, scalings.tolist())]
+    return [
+        v * pow(s, -1, q) % q if v else 0
+        for v, s, q in zip(dets, scalings.tolist(), p.tolist())
+    ]
 
 
-def _zp_newton_interpolate(values: list, p: int) -> list:
-    """The polynomial of degree < P through (t, values[t]), t = 0..P-1, in Z_p[x].
+def _zp_newton_interpolate(values: np.ndarray, primes: np.ndarray) -> list:
+    """Row s: the polynomial of degree < P through (t, values[s, t]) in Z_{primes[s]}[x].
 
-    Newton divided differences (on consecutive integers the level-l
-    denominators are all l), then Horner expansion of the Newton form into
-    monomial coefficients: O(P^2) residue operations.
+    ``values`` is (S, P) ``int64``, sampled at t = 0..P-1.  Newton divided
+    differences (on consecutive integers the level-l denominators are all
+    l), then Horner expansion of the Newton form into monomial
+    coefficients: O(P^2) residue operations per row, every row at once.
     """
-    c = np.array(values, dtype=np.int64)
-    count = len(c)
+    c = values.copy()
+    p = primes[:, None]
+    count = c.shape[1]
     for level in range(1, count):
-        c[level:] = (c[level:] - c[level - 1 : -1]) % p * pow(level, -1, p) % p
-    poly = np.zeros(count, dtype=np.int64)
-    poly[0] = c[-1]
+        inverse = np.array([pow(level, -1, q) for q in primes.tolist()])[:, None]
+        c[:, level:] = (c[:, level:] - c[:, level - 1 : -1]) % p * inverse % p
+    poly = np.zeros_like(c)
+    poly[:, 0] = c[:, -1]
     for t in range(count - 2, -1, -1):  # poly <- poly * (x - t) + c[t]
-        poly[1:] = (poly[:-1] - t * poly[1:]) % p
-        poly[0] = (c[t] - t * poly[0]) % p
-    return _zp_trim(poly.tolist())
+        poly[:, 1:] = (poly[:, :-1] - t * poly[:, 1:]) % p
+        poly[:, 0] = (c[:, t] - t * poly[:, 0]) % primes
+    return [_zp_trim(row) for row in poly.tolist()]
 
 
-def det_modular(stack: np.ndarray, p: int) -> list:
-    """Exact determinant polynomial of a Z_p matrix polynomial.
+def _degree_bound(coeffs: np.ndarray) -> int:
+    """A bound on deg det of an ``int64`` (d+1, N, N) stack, from its entry degrees.
 
-    ``stack`` is a (d+1, N, N) coefficient stack, the layout ``build``
-    returns, as an ``object`` array of Python ints in [0, p).  Mirrors the
-    online pipeline structurally: evaluate the matrix at the P = N d + 1 points
-    0..P-1 (one matrix Horner pass), take all P scalar determinants in one
-    division-free elimination, interpolate in O(P^2).  The work is in
-    ``int64``, so p must keep (p-1)^2 within ``int64``.
+    Each term of the Leibniz expansion takes one entry from every column
+    (and every row), so the determinant's degree is at most the sum over
+    columns of their largest entry degree, and likewise over rows.  Zero
+    entries count as degree 0, which only loosens the bound.
     """
-    if (p - 1) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(f"prime {p} too large for int64 residue products")
-    while len(stack) > 1 and not stack[-1].any():
-        stack = stack[:-1]  # a minor may lose its top degree
-    count = stack.shape[1] * (stack.shape[0] - 1) + 1
-    if count > p:
+    degrees = (np.arange(len(coeffs))[:, None, None] * (coeffs != 0)).max(axis=0)
+    return int(min(degrees.max(axis=0).sum(), degrees.max(axis=1).sum()))
+
+
+def det_modular(stacks: list, primes: list) -> list:
+    """Exact determinant polynomials of Z_p matrix polynomials, one per stack.
+
+    Each of ``stacks`` is a (d+1, N, N) coefficient stack, the layout
+    ``build`` returns, as an ``object`` array of Python ints in [0, p) for
+    its own prime p in ``primes``; all share N, not d.  Mirrors the online
+    pipeline structurally.  A stack's determinant has degree at most D,
+    the smaller of the sums of its column and its row degrees, read from
+    the non-zero entries (``_degree_bound``; all-zero top slices, as a
+    minor may have, add nothing), so D + 1 samples fix it.  The batch
+    evaluates every stack at the P = max(D + 1) points 0..P-1 in one
+    matrix Horner pass, takes all the scalar determinants in one
+    division-free elimination, each matrix modulo its own prime, and
+    interpolates every polynomial by Newton in O(P^2).  P must not exceed
+    any prime, and the work is in ``int64``, so each p must keep (p-1)^2
+    within ``int64``.
+    """
+    if len(stacks) != len(primes):
+        raise ValueError(f"{len(stacks)} stacks but {len(primes)} primes")
+    for p in primes:
+        if (p - 1) ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(f"prime {p} too large for int64 residue products")
+    coeffs = [stack.astype(np.int64) for stack in stacks]
+    count = max(map(_degree_bound, coeffs)) + 1
+    if count > min(primes):
         raise ValueError("field too small for interpolation")
-    coeffs = stack.astype(np.int64)
+    # zero top slices pad every stack to the longest; they change no value
+    padded = np.zeros((len(coeffs), max(map(len, coeffs))) + coeffs[0].shape[1:], np.int64)
+    for s, stack in enumerate(coeffs):
+        padded[s, : len(stack)] = stack
+    moduli = np.array(primes, dtype=np.int64)
+    p = moduli[:, None, None, None]
     points = np.arange(count, dtype=np.int64)[:, None, None]
-    m = np.repeat(coeffs[-1:], count, axis=0)
-    for a in coeffs[-2::-1]:
-        m = (m * points + a) % p
-    return _zp_newton_interpolate(_zp_dets(m, p), p)
+    m = np.repeat(padded[:, -1:], count, axis=1)
+    for a in padded[:, -2::-1].swapaxes(0, 1):
+        m = (m * points + a[:, None]) % p
+    n = m.shape[-1]
+    dets = _zp_dets(m.reshape(-1, n, n), np.repeat(moduli, count))
+    return _zp_newton_interpolate(np.array(dets, dtype=np.int64).reshape(-1, count), moduli)
 
 
 def _minor(stack: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -326,19 +368,22 @@ class Specialization(NamedTuple):
 def specialize(problem, rng_seed: int) -> list:
     """Two independent specializations, one per prime in SPECIALIZATION_PRIMES.
 
-    Each draws fresh residues through ``problem.modular_matrix`` until the
-    determinant is non-constant (at most 20 draws).
+    Each prime draws fresh residues through ``problem.modular_matrix`` from
+    its own rng until the determinant is non-constant (at most 20 draws);
+    the first draws of both primes share one ``det_modular`` call.
     """
     children = np.random.SeedSequence(rng_seed).spawn(2)
+    rngs = [np.random.default_rng(child) for child in children]
+    stacks = [problem.modular_matrix(rng, p) for rng, p in zip(rngs, SPECIALIZATION_PRIMES)]
+    dets = det_modular(stacks, SPECIALIZATION_PRIMES)
     specializations = []
-    for child, prime in zip(children, SPECIALIZATION_PRIMES):
-        rng = np.random.default_rng(child)
-        for _ in range(20):
-            stack = problem.modular_matrix(rng, prime)
-            full_det = det_modular(stack, prime)
+    for rng, prime, stack, full_det in zip(rngs, SPECIALIZATION_PRIMES, stacks, dets):
+        for _ in range(19):  # redraws: at most 20 draws in all
             if len(full_det) >= 2:
                 break
-        else:
+            stack = problem.modular_matrix(rng, prime)
+            (full_det,) = det_modular([stack], [prime])
+        if len(full_det) < 2:
             raise TemplateError("degenerate template: modular determinant is constant")
         specializations.append(Specialization(stack, prime, full_det))
     return specializations
@@ -363,7 +408,8 @@ def find_deletion_pair(basis, specializations: list) -> tuple[int, int]:
     """First row/column pair in scan order passing the coprimality test.
 
     A pair is accepted when gcd(det M, det minor) is constant in every
-    specialization.
+    specialization; the pair's minors, one per specialization, share one
+    ``det_modular`` call.
 
     Columns are scanned by ascending total degree of their basis monomial
     (rows ascending within a column): the deleted column's monomial divides
@@ -373,16 +419,16 @@ def find_deletion_pair(basis, specializations: list) -> tuple[int, int]:
     """
     n = len(basis)
     columns = sorted(range(n), key=lambda j: (sum(basis[j]), j))
+    primes = [s.p for s in specializations]
     for j in columns:
         for i in range(n):
-            if all(_coprime_minor(s, i, j) for s in specializations):
+            minors = det_modular([_minor(s.stack, i, j) for s in specializations], primes)
+            if all(
+                minor and len(_zp_gcd(s.det, minor, s.p)) == 1
+                for s, minor in zip(specializations, minors)
+            ):
                 return (i, j)
     raise TemplateError("no valid deletion pair")
-
-
-def _coprime_minor(spec: Specialization, i: int, j: int) -> bool:
-    minor_det = det_modular(_minor(spec.stack, i, j), spec.p)
-    return bool(minor_det) and len(_zp_gcd(spec.det, minor_det, spec.p)) == 1
 
 
 def select_recovery_pairs(

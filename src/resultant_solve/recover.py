@@ -4,18 +4,19 @@ One solve executes the whole sampling pipeline as a chain of plain
 arrays: write out the instance's original equations, build from their
 coefficients the (d+1, N, N) coefficient stack of the matrix polynomial,
 evaluate it at the unit-circle points with one FFT, take the batched
-determinants, recover the determinant's coefficient array via IFFT, trim
-it, and root it through its companion matrix.  Back-substitution then
-runs on all real candidate roots at once, in float64: one Horner pass
-evaluates the matrix at every root, and every Cramer-rule ratio of every
-root comes from one batched LU call on a stack of column-replaced
-submatrices, gathered from [M | -M] through the index that the template
-compiled once for its deletion pair.  Roots whose deletion submatrix is
-singular retry the alternate deletion pairs together, one rule at a time,
-and each keeps the first that works.  The original equations are rows of
-the matrix (the problem names them in ``equation_rows``), so each
-candidate's residual is read from M(z) v(x) at its root, with no second
-pass over the equations.
+determinants on the upper half of the circle (the stack is real, so the
+lower half's are their exact conjugates), recover the determinant's
+coefficient array via IFFT, trim it, and root it through its companion
+matrix.  Back-substitution then runs on all real candidate roots at
+once, in float64: one Horner pass evaluates the matrix at every root,
+and every Cramer-rule ratio of every root comes from one batched LU call
+on a stack of column-replaced submatrices, gathered from [M | -M]
+through the index that the template compiled once for its deletion
+pair.  Roots whose deletion submatrix is singular retry the alternate
+deletion pairs together, one rule at a time, and each keeps the first
+that works.  The original equations are rows of the matrix (the problem
+names them in ``equation_rows``), so each candidate's residual is read
+from M(z) v(x) at its root, with no second pass over the equations.
 Candidates stay (R, n) and (R,) arrays through ranking, merging and the
 residual threshold; only the accepted ones become ``CandidateSolution``
 objects.  A problem with a second frame (``five_point``) re-solves an
@@ -208,7 +209,11 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     if template.k > max_degree:
         raise SolveError(f"template degree {template.k} exceeds N d = {max_degree}")
 
-    samples = det_complex(batched_eval(stack, template.k))
+    # the stack is real, so the det at sample k+1-j is bit for bit the
+    # conjugate of the det at sample j: only the upper half circle takes an LU
+    count = template.k + 1
+    upper = det_complex(batched_eval(stack, template.k)[: count // 2 + 1])
+    samples = np.concatenate((upper, upper[(count - 1) // 2 : 0 : -1].conj()))
     raw = recover_coefficients(samples)
     max_mag = float(np.abs(raw).max())
     if max_mag == 0.0:

@@ -9,7 +9,8 @@ They share no code with the library's determinant routines:
   stage's Z_p determinants are checked against it.
 * ``zp_det_poly`` — the Z_p determinant polynomial by one scalar Gaussian
   elimination on Python ints per evaluation point and Lagrange
-  interpolation, the reference for the offline stage's ``int64`` path.
+  interpolation on all N d + 1 points, the reference for the offline
+  stage's ``int64`` path.
 * ``sample_points`` — the unit-circle points the FFT samples at, written
   out, for checking ``spectral.batched_eval`` and ``recover_coefficients``.
 """
@@ -245,9 +246,10 @@ def _zp_interpolate(points: list, values: list, p: int) -> list:
 def zp_det_poly(stack: np.ndarray, p: int) -> list:
     """Determinant polynomial in Z_p[x] of a (d+1, N, N) stack of residues.
 
-    Same contract as ``offline.det_modular``: all-zero top slices are
-    dropped, the matrix is evaluated at 0..N d by Horner and the scalar
-    determinants are interpolated.
+    The result ``offline.det_modular`` must give for one stack: all-zero
+    top slices are dropped, the matrix is evaluated at 0..N d by Horner
+    and the scalar determinants are interpolated.  It keeps all N d + 1
+    points, where ``det_modular`` stops at its column/row degree bound.
     """
     while len(stack) > 1 and not stack[-1].any():
         stack = stack[:-1]

@@ -10,6 +10,7 @@ from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
     SolverTemplate,
     TemplateError,
+    _degree_bound,
     _minor,
     _zp_gcd,
     build_template,
@@ -109,7 +110,7 @@ class TestModularArithmetic:
                 n, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
                 stack = rng.integers(-5, 6, size=(d + 1, n, n))
                 exact = det_poly_exact(stack.astype(float))
-                got = det_modular(_to_modular(stack, prime), prime)
+                got = det_modular([_to_modular(stack, prime)], [prime])[0]
                 want = [c % prime for c in exact]
                 while want and want[-1] == 0:
                     want.pop()
@@ -135,7 +136,7 @@ class TestModularArithmetic:
                 stack[:, : n // 2, : n // 2 + 1] = 0
             elif shape == 4:  # all-zero top slice: the determinant loses degree
                 stack[-1] = 0
-            assert det_modular(stack, prime) == zp_det_poly(stack, prime)
+            assert det_modular([stack], [prime])[0] == zp_det_poly(stack, prime)
             cases += 1
         assert cases >= 30
 
@@ -144,13 +145,108 @@ class TestModularArithmetic:
         one_by_one = np.array([[[3]], [[0]], [[5]]], dtype=object)  # 3 + 5x^2
         constant = np.array([[[2, 1], [4, 3]]], dtype=object)  # d = 0
         for stack in (one_by_one, constant):
-            assert det_modular(stack, prime) == zp_det_poly(stack, prime)
-        assert det_modular(one_by_one, prime) == [3, 0, 5]
+            assert det_modular([stack], [prime])[0] == zp_det_poly(stack, prime)
+        assert det_modular([one_by_one], [prime])[0] == [3, 0, 5]
 
     def test_prime_too_large_for_int64_rejected(self):
         big = 2**61 - 1  # a Mersenne prime: (p-1)^2 overflows int64
         with pytest.raises(ValueError, match="too large"):
-            det_modular(np.ones((2, 2, 2), dtype=object), big)
+            det_modular([np.ones((2, 2, 2), dtype=object)], [big])
+
+
+def _graded_stack(rng, n, d, high):
+    """A (d+1, n, n) residue stack whose column j has degree <= c_j, max c_j = d.
+
+    Its determinant's degree bound is sum c_j, below N d for most draws,
+    as in ``five_point``, so ``det_modular`` samples fewer points than the
+    N d + 1 that ``zp_det_poly`` keeps.
+    """
+    column_degrees = rng.integers(0, d + 1, size=n)
+    column_degrees[rng.integers(n)] = d
+    stack = rng.integers(0, high, size=(d + 1, n, n)).astype(object)
+    above = np.arange(d + 1)[:, None, None] > column_degrees[None, None, :]
+    stack[np.broadcast_to(above, stack.shape)] = 0
+    return stack
+
+
+class TestDegreeBound:
+    """``det_modular`` samples at its column/row degree bound, not at N d + 1."""
+
+    @pytest.mark.parametrize("prime", [*SPECIALIZATION_PRIMES, 13])
+    def test_graded_stacks_match_full_sampling_oracle(self, prime):
+        rng = np.random.default_rng(prime % 997)
+        below = 0
+        for trial in range(40):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            stack = _graded_stack(rng, n, d, prime if trial % 2 else 3)
+            if trial % 3 == 1:  # row-graded instead
+                stack = stack.transpose(0, 2, 1).copy()
+            if n * d + 1 > prime:
+                continue
+            below += _degree_bound(stack.astype(np.int64)) < n * d
+            assert det_modular([stack], [prime])[0] == zp_det_poly(stack, prime)
+        assert below >= 10
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_all_zero_row_or_column_gives_zero_polynomial(self, axis):
+        rng = np.random.default_rng(10 + axis)
+        prime = SPECIALIZATION_PRIMES[0]
+        for n in (1, 3, 6):
+            stack = _graded_stack(rng, n, 3, prime)
+            index = [slice(None)] * 3
+            index[axis] = int(rng.integers(n))
+            stack[tuple(index)] = 0
+            assert det_modular([stack], [prime])[0] == [] == zp_det_poly(stack, prime)
+
+    def test_dropped_top_slice(self):
+        rng = np.random.default_rng(12)
+        prime = SPECIALIZATION_PRIMES[1]
+        for n in (2, 4, 7):
+            stack = np.concatenate(
+                [_graded_stack(rng, n, 2, prime), np.zeros((2, n, n), dtype=object)]
+            )
+            got = det_modular([stack], [prime])[0]
+            assert got == zp_det_poly(stack, prime)
+            assert got == det_modular([stack[:3]], [prime])[0]
+
+    def test_two_prime_batch_equals_separate_calls(self):
+        rng = np.random.default_rng(13)
+        stacks, primes = [], []
+        for d, prime in zip((3, 1, 2, 2), SPECIALIZATION_PRIMES * 2):
+            stacks.append(_graded_stack(rng, 5, d, prime))
+            primes.append(prime)
+        stacks[1][:, 2] = 0  # a zero polynomial among them
+        separate = [det_modular([s], [p])[0] for s, p in zip(stacks, primes)]
+        assert det_modular(stacks, primes) == separate
+        assert separate == [zp_det_poly(s, p) for s, p in zip(stacks, primes)]
+        assert separate[1] == [] and all(separate[:1] + separate[2:])
+
+    def test_field_too_small_is_raised_by_the_bound(self):
+        # 4 x 4 of degree 2 has N d + 1 = 9 > 7 points, but only columns 0
+        # and 1 carry x: the bound is 2, three points suffice over Z_7
+        rng = np.random.default_rng(14)
+        stack = rng.integers(-5, 6, size=(3, 4, 4))
+        stack[1:, :, 2:] = 0
+        stack[2] = 0
+        stack[1, 0, :2] = [1, 2]  # keep degree 1 in columns 0 and 1
+        exact = [c % 7 for c in det_poly_exact(stack.astype(float))]
+        while exact and exact[-1] == 0:
+            exact.pop()
+        assert det_modular([_to_modular(stack, 7)], [7])[0] == exact
+        full = _to_modular(rng.integers(1, 6, size=(3, 4, 4)), 7)  # bound 8
+        with pytest.raises(ValueError, match="field too small"):
+            det_modular([full], [7])
+        # a batch samples every stack at its largest count
+        with pytest.raises(ValueError, match="field too small"):
+            det_modular([_to_modular(stack, 7), full], [7, SPECIALIZATION_PRIMES[0]])
+
+    @pytest.mark.parametrize("pid, bound", [("conic", 5), ("five_point", 10)])
+    def test_problem_stacks_bound_below_n_d(self, pid, bound):
+        # k = 4 for conic and 10 for five_point, against N d = 8 and 30
+        prime = SPECIALIZATION_PRIMES[0]
+        stack = get_problem(pid).modular_matrix(np.random.default_rng(15), prime)
+        assert _degree_bound(stack.astype(np.int64)) == bound
+        assert bound < stack.shape[1] * (len(stack) - 1)
 
 
 class TestDetectDegree:
@@ -177,7 +273,7 @@ class TestDetectDegree:
         # constraint structure, so the exact determinant fixes the degree
         rng = np.random.default_rng(3)
         prime = SPECIALIZATION_PRIMES[0]
-        got = det_modular(five_point.modular_matrix(rng, prime), prime)
+        got = det_modular([five_point.modular_matrix(rng, prime)], [prime])[0]
         assert len(got) - 1 == 10
 
     def test_specializations_disagree_rejected(self):
@@ -194,6 +290,54 @@ class TestDetectDegree:
             detect_degree(specialize(flaky, 0))
 
 
+class _Degenerate(_ToyBuilder):
+    """Random 2 x 2 data whose determinant is constant for the first draws.
+
+    ``constant[i]`` draws of prime i have no x term; every later draw has
+    x in entry (0, 0).
+    """
+
+    def __init__(self, constant):
+        super().__init__(_diag_x_stack(2))
+        self.constant = dict(zip(SPECIALIZATION_PRIMES, constant))
+        self.draws = dict.fromkeys(SPECIALIZATION_PRIMES, 0)
+
+    def draw(self, rng, p, number):
+        stack = np.zeros((2, 2, 2), dtype=object)
+        stack[0] = rng.integers(1, 50, size=(2, 2))
+        stack[1, 0, 0] = int(number > self.constant[p])
+        return stack
+
+    def modular_matrix(self, rng, p):
+        self.draws[p] += 1
+        return self.draw(rng, p, self.draws[p])
+
+
+class TestRedraws:
+    """Each prime redraws from its own rng while its determinant is constant."""
+
+    def test_draws_match_a_sequential_replay(self):
+        builder = _Degenerate((3, 0))
+        specs = specialize(builder, 5)
+        assert builder.draws == dict(zip(SPECIALIZATION_PRIMES, (4, 1)))
+        children = np.random.SeedSequence(5).spawn(2)
+        for spec, child in zip(specs, children):
+            rng = np.random.default_rng(child)
+            for number in range(1, builder.draws[spec.p] + 1):
+                stack = builder.draw(rng, spec.p, number)
+            assert np.array_equal(spec.stack, stack)
+            assert len(spec.det) == 2
+
+    def test_twenty_draws_at_most(self):
+        builder = _Degenerate((0, 19))
+        specialize(builder, 0)  # the twentieth draw of the second prime
+        assert builder.draws[SPECIALIZATION_PRIMES[1]] == 20
+        builder = _Degenerate((20, 0))
+        with pytest.raises(TemplateError, match="determinant is constant"):
+            specialize(builder, 0)
+        assert builder.draws[SPECIALIZATION_PRIMES[0]] == 20
+
+
 class TestFindDeletionPair:
     def test_swap_matrix_pairs(self):
         # [[x, 1], [1, x]]: minor(0,0) = x, gcd(x^2 - 1, x) constant, so
@@ -203,8 +347,8 @@ class TestFindDeletionPair:
         assert _deletion(builder) == (0, 1)
         prime = SPECIALIZATION_PRIMES[0]
         mm = builder.modular_matrix(None, prime)
-        full = det_modular(mm, prime)  # x^2 - 1
-        minor = det_modular(_minor(mm, 0, 0), prime)  # x
+        full = det_modular([mm], [prime])[0]  # x^2 - 1
+        minor = det_modular([_minor(mm, 0, 0)], [prime])[0]  # x
         assert len(_zp_gcd(full, minor, prime)) == 1
 
     def test_shared_factor_rejected(self):
@@ -243,10 +387,10 @@ class TestFindDeletionPair:
         )
 
         def coprime(i, j):
-            minor = det_modular(_minor(mm, i, j), prime)
+            minor = det_modular([_minor(mm, i, j)], [prime])[0]
             return bool(minor) and len(_zp_gcd(full, minor, prime)) == 1
 
-        full = det_modular(mm, prime)
+        full = det_modular([mm], [prime])[0]
         assert len(full) - 1 == 1
         for j in range(3):
             assert not coprime(2, j)  # keeps both dependent rows

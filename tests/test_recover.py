@@ -476,3 +476,30 @@ class TestSecondFrame:
 
     def test_conic_has_no_second_frame(self):
         assert get_problem("conic").second_frame is None
+
+
+class TestConjugateSamples:
+    """Why ``_hidden_roots`` takes determinants on the upper half circle only.
+
+    A problem stack is real, so FFT bin k+1-j equals the conjugate of bin j
+    (up to the sign of a zero: a structurally zero entry is +0j in every
+    bin), and pivoted LU commutes with conjugation, so the lower half's
+    determinants are the conjugates of the upper half's bit for bit.
+    Pinned on the first 300 instances of each benchmark pool (template
+    seed 1).
+    """
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_lower_half_is_the_exact_conjugate(self, pid):
+        from resultant_solve.matrixpoly import det_complex
+
+        problem = get_problem(pid)
+        k = build_template(problem, 1).k
+        count = k + 1
+        upper = np.arange(1, (count + 1) // 2)  # pairs j <-> count - j
+        for i in range(300):
+            data, _ = problem.generate_instance(np.random.default_rng([1, i]))
+            bins = batched_eval(problem.build(problem.original_equations(data)), k)
+            dets = det_complex(bins)
+            assert np.array_equal(bins[upper].conj(), bins[count - upper])
+            assert dets[upper].conj().tobytes() == dets[count - upper].tobytes()
