@@ -10,13 +10,16 @@ those two specializations:
 * the row/column deletion pair is validated by an exact coprimality test
   in Z_p[x]: the full determinant and the deleted-pair minor must have a
   constant GCD,
-* recovery index pairs are chosen from the monomial basis,
 
-and the results are frozen into a JSON-serializable SolverTemplate that
-the online stage replays on every instance.  Whatever the online stage
-derives from the template alone (the Cramer gather indices, the recovered
-variable columns, the basis exponents, the alternate deletion pairs) is
-compiled once, into cached properties of the template.
+and the two decisions are frozen, with the problem's id, into a
+JSON-serializable SolverTemplate that the online stage replays on every
+instance.  Everything else the online stage needs (the variables, the
+basis and with it N, the solution count r) is the problem's, read through
+``get_problem``.  Whatever it derives from the template and its problem
+(the recovery pairs, chosen from the basis for the deleted column, the
+Cramer gather indices, the recovered variable columns, the basis
+exponents, the alternate deletion pairs) is compiled once, into cached
+properties of the template.
 
 Floating-point GCDs are ill-defined and rational arithmetic blows up, so
 the coprimality test works modulo two fixed 31-bit primes; a pair is
@@ -46,6 +49,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .problems import get_problem
 
 SPECIALIZATION_PRIMES = (2147483647, 2147483629)
 
@@ -223,74 +228,60 @@ def _unit_exponent(w: int, n_vars: int, hidden_index: int) -> tuple:
 
 @dataclass(frozen=True)
 class SolverTemplate:
-    """Offline artifact consumed by the online stage."""
+    """What the offline stage decides for one problem: k and the deletion pair.
+
+    The problem, registered under ``problem_id``, supplies everything else:
+    its variables, its basis (N columns) and its solution count r.  A
+    template is checked against it when constructed.
+    """
 
     problem_id: str
-    n_vars: int
-    hidden_index: int
-    size: int
-    basis: tuple
     k: int
-    r: int
     deletion_pair: tuple[int, int]
-    recovery_pairs: dict
 
     def __post_init__(self):
         if not isinstance(self.problem_id, str):
             raise ValueError("template problem must be a string")
-        numbers = [self.n_vars, self.hidden_index, self.size, self.k, self.r]
-        numbers += self.deletion_pair
-        for pair in self.recovery_pairs.values():
-            numbers += pair
+        problem = get_problem(self.problem_id)
         # bool is an int subclass, but a JSON true is not an index
+        numbers = (self.k, *self.deletion_pair)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
-            raise ValueError("template sizes and indices must be integers")
-        if not self.k >= self.r >= 1:
-            raise ValueError(f"need k >= r >= 1, got k={self.k}, r={self.r}")
-        if len(self.basis) != self.size:
-            raise ValueError(f"basis has {len(self.basis)} monomials, need N={self.size}")
-        # also bounds n_vars by the template's own size before range(n_vars)
-        if any(len(e) != self.n_vars - 1 for e in self.basis):
-            raise ValueError(f"basis monomials need {self.n_vars - 1} exponents each")
-        if not 0 <= self.hidden_index < self.n_vars:
-            raise ValueError(f"hidden index {self.hidden_index} out of range")
-        i, j = self.deletion_pair
-        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise ValueError("template degree and deletion pair must be integers")
+        if self.k < problem.expected_solutions:
+            raise ValueError(f"need k >= r = {problem.expected_solutions}, got k={self.k}")
+        size = len(problem.basis)
+        if len(self.deletion_pair) != 2 or not all(0 <= v < size for v in self.deletion_pair):
             raise ValueError(f"deletion pair {self.deletion_pair} out of range")
-        recovered = set(range(self.n_vars)) - {self.hidden_index}
-        if set(self.recovery_pairs) != recovered:
-            raise ValueError(
-                f"recovery pairs cover variables {sorted(self.recovery_pairs)}, "
-                f"need {sorted(recovered)}"
-            )
-        for w, (j1, j2) in self.recovery_pairs.items():
-            if not (0 <= j1 < self.size and 0 <= j2 < self.size):
-                raise ValueError(f"recovery pair for variable {w} out of range")
-            if j1 == j or j2 == j:
-                raise ValueError(f"recovery pair for variable {w} hits deleted column")
-            diff = tuple(a - b for a, b in zip(self.basis[j1], self.basis[j2]))
-            if diff != _unit_exponent(w, self.n_vars, self.hidden_index):
-                raise ValueError(
-                    f"recovery pair for variable {w} has monomial ratio {diff}"
-                )
 
-    # What the online stage derives from the template alone, compiled on
-    # first use and kept with it (a frozen dataclass still has a __dict__).
+    # What the online stage derives from the template and its problem,
+    # compiled on first use and kept with it (a frozen dataclass still has
+    # a __dict__).  Only plain values and arrays are kept, never the
+    # Problem: the template is pickled to worker processes, and a Problem
+    # may hold closures.
+
+    @cached_property
+    def recovery_pairs(self) -> dict:
+        """The basis index pairs that recover each variable, the deleted column aside."""
+        problem = get_problem(self.problem_id)
+        return select_recovery_pairs(
+            problem.basis, self.deletion_pair[1], problem.n_vars, problem.hidden_index
+        )
 
     @cached_property
     def recovered_columns(self) -> np.ndarray:
         """The non-hidden variables, in order."""
-        return np.array([w for w in range(self.n_vars) if w != self.hidden_index])
+        problem = get_problem(self.problem_id)
+        return np.array([w for w in range(problem.n_vars) if w != problem.hidden_index])
 
     @cached_property
     def exponents(self) -> np.ndarray:
         """The (N, n-1) basis exponent array."""
-        return np.asarray(self.basis)
+        return np.asarray(get_problem(self.problem_id).basis)
 
     @cached_property
     def primary_rule(self) -> np.ndarray:
         """The template's deletion pair and recovery pairs, compiled."""
-        return cramer_rule(self.size, self.deletion_pair, self.recovery_pairs)
+        return cramer_rule(len(self.exponents), self.deletion_pair, self.recovery_pairs)
 
     @cached_property
     def alternate_rules(self) -> list:
@@ -304,18 +295,20 @@ class SolverTemplate:
         unrecoverable are skipped.  Only a solve with a singular root needs
         them, so they are compiled the first time one does.
         """
+        problem = get_problem(self.problem_id)
+        size = len(problem.basis)
         pairs_for_col: dict = {}
-        for j in range(self.size):
+        for j in range(size):
             try:
                 pairs_for_col[j] = select_recovery_pairs(
-                    self.basis, j, self.n_vars, self.hidden_index
+                    problem.basis, j, problem.n_vars, problem.hidden_index
                 )
             except TemplateError:
                 pass
         return [
-            cramer_rule(self.size, (i, j), pairs_for_col[j])
-            for i in range(self.size)
-            for j in range(self.size)
+            cramer_rule(size, (i, j), pairs_for_col[j])
+            for i in range(size)
+            for j in range(size)
             if (i, j) != self.deletion_pair and j in pairs_for_col
         ]
 
@@ -323,37 +316,29 @@ class SolverTemplate:
 def template_to_json(template: SolverTemplate) -> str:
     obj = {
         "problem": template.problem_id,
-        "n_vars": template.n_vars,
-        "hidden": template.hidden_index,
-        "N": template.size,
         "k": template.k,
-        "r": template.r,
-        "basis": [list(e) for e in template.basis],
         "deletion": list(template.deletion_pair),
-        "recovery": {str(w): list(p) for w, p in sorted(template.recovery_pairs.items())},
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def template_from_json(text: str) -> SolverTemplate:
+    """The template a ``template_to_json`` text holds.
+
+    Only the keys ``problem``, ``k`` and ``deletion`` are read, so a file
+    of the earlier format, which also copied the problem's variables,
+    basis, N, r and recovery pairs, loads too; those copies are ignored.
+    """
     obj = json.loads(text)
     try:
-        if not isinstance(obj["recovery"], dict):
-            raise ValueError("malformed template: recovery must be an object")
         return SolverTemplate(
             problem_id=obj["problem"],
-            n_vars=obj["n_vars"],
-            hidden_index=obj["hidden"],
-            size=obj["N"],
-            basis=tuple(tuple(e) for e in obj["basis"]),
             k=obj["k"],
-            r=obj["r"],
             deletion_pair=tuple(obj["deletion"]),
-            recovery_pairs={int(w): tuple(p) for w, p in obj["recovery"].items()},
         )
     except KeyError as exc:
         raise ValueError(f"template lacks key {exc}") from None
-    except TypeError as exc:  # a list for the object, a string for a number
+    except TypeError as exc:  # a list for the object, a number for the pair
         raise ValueError(f"malformed template: {exc}") from None
 
 
@@ -436,23 +421,26 @@ def select_recovery_pairs(
 ) -> dict:
     """Index pairs whose basis-monomial ratio isolates each unknown.
 
-    For every non-hidden variable, scans pairs (j1, j2) surviving the
-    column deletion whose exponent difference is that variable's unit
-    vector, preferring lowest total degree, then lexicographic order.
+    For every non-hidden variable w, each column j2 surviving the column
+    deletion pairs with the surviving column j1 whose monomial is
+    basis[j2] times w, found by a lookup of the basis, so each variable
+    costs O(N).  Among those pairs the lowest total degree wins, then the
+    lexicographically first (j1, j2).
     """
-    basis = [tuple(e) for e in basis]
+    column = {}  # monomial -> its first surviving column
+    for j, e in enumerate(basis):
+        if j != deleted_col:
+            column.setdefault(tuple(e), j)
     pairs = {}
     for w in range(n_vars):
         if w == hidden_index:
             continue
         unit = _unit_exponent(w, n_vars, hidden_index)
+        # basis[j1] is basis[j2] times w, so the pair's total degree is 2|e| + 1
         candidates = [
-            (sum(basis[j1]) + sum(basis[j2]), j1, j2)
-            for j1 in range(len(basis))
-            for j2 in range(len(basis))
-            if j1 != deleted_col
-            and j2 != deleted_col
-            and tuple(a - b for a, b in zip(basis[j1], basis[j2])) == unit
+            (2 * sum(e) + 1, column[up], j2)
+            for e, j2 in column.items()
+            if (up := tuple(a + b for a, b in zip(e, unit))) in column
         ]
         if not candidates:
             raise TemplateError(
@@ -465,28 +453,17 @@ def select_recovery_pairs(
 
 
 def build_template(problem, rng_seed: int) -> SolverTemplate:
-    """Run the full offline stage for one problem."""
+    """Run the full offline stage for one registered problem."""
     specializations = specialize(problem, rng_seed)
     k = detect_degree(specializations)
     deletion = find_deletion_pair(problem.basis, specializations)
-    recovery = select_recovery_pairs(
-        problem.basis, deletion[1], problem.n_vars, problem.hidden_index
-    )
+    # the deleted column must leave every variable recoverable
+    select_recovery_pairs(problem.basis, deletion[1], problem.n_vars, problem.hidden_index)
     if problem.expected_solutions > k:
         raise TemplateError(
             f"expected solution count {problem.expected_solutions} exceeds degree {k}"
         )
-    return SolverTemplate(
-        problem_id=problem.problem_id,
-        n_vars=problem.n_vars,
-        hidden_index=problem.hidden_index,
-        size=len(problem.basis),
-        basis=tuple(tuple(e) for e in problem.basis),
-        k=k,
-        r=problem.expected_solutions,
-        deletion_pair=deletion,
-        recovery_pairs=recovery,
-    )
+    return SolverTemplate(problem_id=problem.problem_id, k=k, deletion_pair=deletion)
 
 
 # --- compiled Cramer rules ----------------------------------------------------

@@ -113,36 +113,38 @@ def equation_values(
     return (m_at_roots @ monomials[..., None])[:, rows, 0]
 
 
+def _rules(template: SolverTemplate):
+    """The primary rule, then the alternates, compiled only when reached."""
+    yield template.primary_rule
+    yield from template.alternate_rules
+
+
 def _back_substitute(
-    stack: np.ndarray, template: SolverTemplate, hidden_values: np.ndarray
+    stack: np.ndarray, problem, template: SolverTemplate, hidden_values: np.ndarray
 ) -> tuple:
     """(coords, m_at_roots) of the roots that back-substitution keeps.
 
-    Roots whose primary deletion pair is singular for some variable retry
-    the template's alternate rules in order, all still-singular roots at
-    once, so each keeps the first rule that is non-singular for every
-    variable; roots left when the alternates run out are discarded.
-    ``coords`` is (R, n) with the hidden value in its column, and
-    ``m_at_roots`` the (R, N, N) matrix at the kept roots, both in root
-    order.
+    Every root starts under the template's primary rule; the roots
+    singular there for some variable retry the alternate rules in order,
+    all still-singular roots at once, so each keeps the first rule that is
+    non-singular for every variable; roots left when the alternates run
+    out are discarded.  ``coords`` is (R, n) with the hidden value in its
+    column, and ``m_at_roots`` the (R, N, N) matrix at the kept roots,
+    both in root order.
     """
     if not len(hidden_values):
-        return np.empty((0, template.n_vars)), np.empty((0,) + stack.shape[1:])
+        return np.empty((0, problem.n_vars)), np.empty((0,) + stack.shape[1:])
     m_at_roots = evaluate_at(stack, hidden_values)
-    values, singular = cramer_at(m_at_roots, template.primary_rule)
-    coords = np.empty((len(hidden_values), template.n_vars))
-    coords[:, template.hidden_index] = hidden_values
-    coords[:, template.recovered_columns] = values
-    pending = np.flatnonzero(singular.any(axis=1))
-    if not len(pending):
-        return coords, m_at_roots
-    for index in template.alternate_rules:
+    coords = np.empty((len(hidden_values), problem.n_vars))
+    coords[:, problem.hidden_index] = hidden_values
+    pending = np.arange(len(hidden_values))
+    for index in _rules(template):
         values, singular = cramer_at(m_at_roots[pending], index)
-        solved = ~singular.any(axis=1)
-        coords[pending[solved, None], template.recovered_columns] = values[solved]
-        pending = pending[~solved]
+        # a singular root's values are overwritten by a later rule or dropped
+        coords[pending[:, None], template.recovered_columns] = values
+        pending = pending[singular.any(axis=1)]
         if not len(pending):
-            break
+            return coords, m_at_roots
     keep = np.ones(len(coords), dtype=bool)
     keep[pending] = False
     return coords[keep], m_at_roots[keep]
@@ -205,7 +207,7 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     """(number of complex roots, real hidden values) of det M for one stack."""
     # det of an N x N matrix of degree-d entries has degree at most N d; a
     # larger k would only let template input size the FFT
-    max_degree = template.size * (len(stack) - 1)
+    max_degree = stack.shape[-1] * (len(stack) - 1)
     if template.k > max_degree:
         raise SolveError(f"template degree {template.k} exceeds N d = {max_degree}")
 
@@ -244,12 +246,12 @@ def _second_frame(problem, data, stack: np.ndarray, template: SolverTemplate):
         candidate_roots, hidden_values = _hidden_roots(frame_stack, template)
     except (DegenerateDataError, SolveError):
         return None
-    frame_coords, _ = _back_substitute(frame_stack, template, hidden_values)
+    frame_coords, _ = _back_substitute(frame_stack, problem, template, hidden_values)
     homogeneous = np.hstack([frame_coords, np.ones((len(frame_coords), 1))]) @ mix
     coords = homogeneous[:, :-1] / homogeneous[:, -1:]
-    m_at_roots = evaluate_at(stack, coords[:, template.hidden_index])
+    m_at_roots = evaluate_at(stack, coords[:, problem.hidden_index])
     residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
-    return _select(coords, residuals, template.r, candidate_roots)
+    return _select(coords, residuals, problem.expected_solutions, candidate_roots)
 
 
 def solve_online(template: SolverTemplate, data) -> SolutionSet:
@@ -257,22 +259,19 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
 
     When nothing is accepted and the problem has a second frame, the
     instance is solved once more in that frame, and its result replaces
-    the first one if it accepts a solution.  A template whose variables
-    or basis differ from its problem's (and with the basis, its size) is
-    refused: its Cramer rules would read the wrong columns.
+    the first one if it accepts a solution.  The variables, the basis and
+    the solution count r are the problem's; the template adds k and the
+    compiled Cramer rules of its deletion pair.
     """
     problem = get_problem(template.problem_id)
-    for name in ("n_vars", "hidden_index", "basis"):
-        if getattr(template, name) != getattr(problem, name):
-            raise SolveError(f"template {name} does not match problem {problem.problem_id}")
     try:
         stack = problem.build(problem.original_equations(data))
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
     candidate_roots, hidden_values = _hidden_roots(stack, template)
-    coords, m_at_roots = _back_substitute(stack, template, hidden_values)
+    coords, m_at_roots = _back_substitute(stack, problem, template, hidden_values)
     residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
-    result = _select(coords, residuals, template.r, candidate_roots)
+    result = _select(coords, residuals, problem.expected_solutions, candidate_roots)
     if result.failed and problem.second_frame is not None:
         retried = _second_frame(problem, data, stack, template)
         if retried is not None and not retried.failed:

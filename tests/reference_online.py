@@ -8,7 +8,7 @@ bitwise the same ``SolutionSet`` for every instance whose first solve
 accepts a solution (``tests/test_reference_online.py``).  The only code
 shared with the library is the problem layer (equations and build), the
 FFT sampling and IFFT recovery, ``det_complex``, the ``select_recovery_pairs``
-scan and the two result dataclasses.
+lookup and the two result dataclasses.
 """
 
 from __future__ import annotations
@@ -113,16 +113,17 @@ def _fallback_deletions(template: SolverTemplate) -> list:
     can zero it out structurally (for example when the deleted column has
     support only in the deleted row); alternates keep such candidates alive.
     """
+    problem = get_problem(template.problem_id)
     options = []
     pairs_for_col: dict = {}
-    for i in range(template.size):
-        for j in range(template.size):
+    for i in range(len(problem.basis)):
+        for j in range(len(problem.basis)):
             if (i, j) == template.deletion_pair:
                 continue
             if j not in pairs_for_col:
                 try:
                     pairs_for_col[j] = select_recovery_pairs(
-                        template.basis, j, template.n_vars, template.hidden_index
+                        problem.basis, j, problem.n_vars, problem.hidden_index
                     )
                 except TemplateError:
                     pairs_for_col[j] = None
@@ -158,15 +159,16 @@ def _assemble_candidates(
     non-singular for every variable (kept) or the alternates run out
     (discarded).  The residual is max over ``rows`` of |M(z) v(x)| / |x|.
     """
+    problem = get_problem(template.problem_id)
     if not len(hidden_values):
         return []
     m_at_roots = evaluate_at(stack, hidden_values)
     values, singular = cramer_ratios(
         m_at_roots, template.deletion_pair, template.recovery_pairs
     )
-    recovered = [w for w in range(template.n_vars) if w != template.hidden_index]
-    coords = np.empty((len(hidden_values), template.n_vars))
-    coords[:, template.hidden_index] = hidden_values
+    recovered = [w for w in range(problem.n_vars) if w != problem.hidden_index]
+    coords = np.empty((len(hidden_values), problem.n_vars))
+    coords[:, problem.hidden_index] = hidden_values
     coords[:, recovered] = values
     keep = ~singular.any(axis=1)
     fallback: list | None = None  # built only if the template pair degenerates
@@ -182,7 +184,7 @@ def _assemble_candidates(
     vecs = coords[keep]
     if not len(vecs):
         return []
-    equations = equation_values(m_at_roots[keep], template.basis, vecs[:, recovered], rows)
+    equations = equation_values(m_at_roots[keep], problem.basis, vecs[:, recovered], rows)
     norms = np.linalg.norm(vecs, axis=1)
     residuals = np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
     return [CandidateSolution(x, float(res)) for x, res in zip(vecs, residuals)]
@@ -209,13 +211,13 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
         stack = problem.build(problem.original_equations(data))
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
-    if stack.shape[-1] != template.size:
+    if stack.shape[-1] != len(problem.basis):
         raise SolveError(
-            f"matrix size {stack.shape[-1]} does not match template {template.size}"
+            f"matrix size {stack.shape[-1]} does not match template {len(problem.basis)}"
         )
     # det of an N x N matrix of degree-d entries has degree at most N d; a
     # larger k would only let template input size the FFT
-    max_degree = template.size * (len(stack) - 1)
+    max_degree = len(problem.basis) * (len(stack) - 1)
     if template.k > max_degree:
         raise SolveError(f"template degree {template.k} exceeds N d = {max_degree}")
 
@@ -241,7 +243,7 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
     kept = _deduplicate(candidates)
 
     good = [c for c in kept if c.residual <= RESIDUAL_FAIL_THRESHOLD]
-    accepted = tuple(good[: template.r])
+    accepted = tuple(good[: problem.expected_solutions])
     return SolutionSet(
         accepted=accepted,
         rejected_count=len(candidates) - len(accepted),

@@ -81,8 +81,11 @@ def test_criterion_2_five_point_stability(five_point_template):
 
 
 def test_criterion_3_solution_counts(conic_template, five_point_template):
-    got_conic = (conic_template.size, conic_template.k, conic_template.r)
-    got_five = (five_point_template.size, five_point_template.k, five_point_template.r)
+    def sizes(template):
+        problem = get_problem(template.problem_id)
+        return len(problem.basis), template.k, problem.expected_solutions
+
+    got_conic, got_five = sizes(conic_template), sizes(five_point_template)
     ok = got_conic == (4, 4, 4) and got_five == (10, 10, 10)
     _report(
         3,
@@ -208,7 +211,7 @@ def test_criterion_7_rank_deficiency_witness(conic_template, five_point_template
             stack = problem.build(problem.original_equations(data))
             result = solve_online(template, data)
             for cand in result.accepted:
-                m = evaluate_at(stack, cand.x[template.hidden_index])
+                m = evaluate_at(stack, cand.x[problem.hidden_index])
                 sigma = np.linalg.svd(m, compute_uv=False)
                 worst_full = max(worst_full, sigma[-1] / sigma[0])
                 sub = np.delete(np.delete(m, i, axis=0), j, axis=1)

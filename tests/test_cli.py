@@ -29,13 +29,13 @@ class TestOffline:
         code, _, _ = _run(capsys, ["offline", "conic", "--seed", "7", "-o", str(path)])
         assert code == 0
         obj = json.loads(path.read_text())
-        assert (obj["N"], obj["k"], obj["r"]) == (4, 4, 4)
+        assert obj == {"problem": "conic", "k": 4, "deletion": [0, 3]}
 
     def test_five_point_template_to_stdout(self, capsys):
         code, out, _ = _run(capsys, ["offline", "five_point", "--seed", "7"])
         assert code == 0
         obj = json.loads(out)
-        assert (obj["N"], obj["k"]) == (10, 10)
+        assert (obj["problem"], obj["k"]) == ("five_point", 10)
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -151,27 +151,21 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:") and key in err
 
+    # explicit ids keep each case's name as cases are added or dropped
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("recovery", {"0": [7, 5]}),  # past the 4-column basis
-            ("recovery", {"0": [-4, -3]}),  # would wrap around
-            ("recovery", {"1": [1, 2]}),  # the hidden variable
-            ("recovery", {}),  # x left unrecovered
-            ("basis", [[3], [2], [1]]),  # N = 4 columns, 3 monomials
-            ("hidden", 2),  # only 2 variables
-            ("deletion", [0, -1]),
+            pytest.param("deletion", [0, -1], id="deletion-value6"),
             ("k", "4"),  # a string for a number
             ("k", 4.5),
-            ("deletion", [0.0, 3.0]),
+            pytest.param("deletion", [0.0, 3.0], id="deletion-value9"),
             ("k", None),  # key missing
             (None, None),  # an array, not an object
-            ("recovery", []),  # an array, not an object
-            ("recovery", "x"),
-            ("problem", ["conic"]),  # not a string
-            ("recovery", {"0": [True, 2]}),  # a JSON true is not the index 1
-            ("basis", [[3], [2, 5], [1], [0]]),  # a monomial over 2 variables
+            pytest.param("problem", ["conic"], id="problem-value14"),  # not a string
             ("k", 9),  # above N d = 8, the most a 4x4 degree-2 det can reach
+            ("k", 3),  # below r = 4
+            ("deletion", 3),  # a number, not a pair
+            ("problem", "nonesuch"),
         ],
     )
     def test_malformed_template_exits_1(self, capsys, conic_files, key, value):
@@ -188,19 +182,17 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:")
 
-
-    def test_template_of_another_basis_exits_1(self, capsys, conic_files):
-        # a valid template whose basis order is not the problem's
+    def test_earlier_format_template_solves_the_same(self, capsys, conic_files):
+        # the earlier format's copies of the problem, here with the basis
+        # reversed, are not read
         tpl, datafile, _ = conic_files
+        argv = ["solve", "-t", str(tpl), "-d", str(datafile)]
+        code, want, _ = _run(capsys, argv)
         obj = json.loads(tpl.read_text())
-        n, (i, j) = obj["N"], obj["deletion"]
-        obj["basis"] = obj["basis"][::-1]
-        obj["deletion"] = [i, n - 1 - j]
-        obj["recovery"] = {w: [n - 1 - a, n - 1 - b] for w, (a, b) in obj["recovery"].items()}
+        obj.update(n_vars=2, hidden=1, N=4, r=4, basis=[[0], [1], [2], [3]], recovery={"0": [2, 1]})
         tpl.write_text(json.dumps(obj))
-        code, out, err = _run(capsys, ["solve", "-t", str(tpl), "-d", str(datafile)])
-        assert code == 1 and not out
-        assert err.startswith("error:") and "basis" in err
+        assert _run(capsys, argv) == (code, want, "") and code == 0
+
 
 class TestBench:
     def test_csv_deterministic(self, capsys):

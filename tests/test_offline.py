@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from resultant_solve.offline import (
     TemplateError,
     _degree_bound,
     _minor,
+    _unit_exponent,
     _zp_gcd,
     build_template,
     det_modular,
@@ -22,7 +24,7 @@ from resultant_solve.offline import (
     template_from_json,
     template_to_json,
 )
-from resultant_solve.problems import conic, five_point, get_problem
+from resultant_solve.problems import Problem, conic, five_point, get_problem
 
 
 # --- exact rational GCD oracle ----------------------------------------------
@@ -417,6 +419,35 @@ class TestSelectRecoveryPairs:
         with pytest.raises(TemplateError, match="basis insufficient"):
             select_recovery_pairs(basis, 0, 2, 0)
 
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_lookup_matches_the_pair_scan(self, pid):
+        # the O(N^2) scan the lookup replaced, kept verbatim: same pairs for
+        # every deleted column of both bases
+        def scan(basis, deleted_col, n_vars, hidden_index):
+            basis = [tuple(e) for e in basis]
+            pairs = {}
+            for w in range(n_vars):
+                if w == hidden_index:
+                    continue
+                unit = _unit_exponent(w, n_vars, hidden_index)
+                candidates = [
+                    (sum(basis[j1]) + sum(basis[j2]), j1, j2)
+                    for j1 in range(len(basis))
+                    for j2 in range(len(basis))
+                    if j1 != deleted_col
+                    and j2 != deleted_col
+                    and tuple(a - b for a, b in zip(basis[j1], basis[j2])) == unit
+                ]
+                _, j1, j2 = min(candidates)
+                pairs[w] = (j1, j2)
+            return pairs
+
+        problem = get_problem(pid)
+        args = (problem.n_vars, problem.hidden_index)
+        for deleted in range(len(problem.basis)):
+            got = select_recovery_pairs(problem.basis, deleted, *args)
+            assert got == scan(problem.basis, deleted, *args)
+
     def test_five_point_basis_covers_all_deletions(self):
         problem = get_problem("five_point")
         for deleted in range(10):
@@ -432,27 +463,34 @@ class TestSelectRecoveryPairs:
 
 class TestTemplates:
     def test_conic_template(self, conic_template):
-        t = conic_template
-        assert (t.size, t.k, t.r) == (4, 4, 4)
-        assert t.k >= t.r >= 1
+        problem = get_problem("conic")
+        assert (len(problem.basis), conic_template.k, problem.expected_solutions) == (4, 4, 4)
 
     def test_five_point_template(self, five_point_template):
-        t = five_point_template
-        assert (t.size, t.k, t.r) == (10, 10, 10)
+        problem = get_problem("five_point")
+        size, r = len(problem.basis), problem.expected_solutions
+        assert (size, five_point_template.k, r) == (10, 10, 10)
 
     @pytest.mark.parametrize(
         "pid, k, deletion, recovery",
         [
-            ("conic", 4, [0, 3], {"0": [1, 2]}),
-            ("five_point", 10, [0, 9], {"0": [4, 7], "1": [5, 8]}),
+            ("conic", 4, [0, 3], {0: (1, 2)}),
+            ("five_point", 10, [0, 9], {0: (4, 7), 1: (5, 8)}),
         ],
     )
     def test_golden_templates(self, pid, k, deletion, recovery):
         # the online stage replays these; a refactor of the offline stage
-        # must not move them for any seed
+        # must not move them for any seed.  The recovery pairs, derived
+        # from the problem, are those the earlier format wrote.
         for seed in range(5):
-            obj = json.loads(template_to_json(build_template(get_problem(pid), seed)))
-            assert (obj["k"], obj["deletion"], obj["recovery"]) == (k, deletion, recovery)
+            template = build_template(get_problem(pid), seed)
+            obj = json.loads(template_to_json(template))
+            assert (obj["k"], obj["deletion"]) == (k, deletion)
+            assert template.recovery_pairs == recovery
+
+    def test_json_holds_only_the_offline_decisions(self, conic_template):
+        obj = json.loads(template_to_json(conic_template))
+        assert obj == {"problem": "conic", "k": 4, "deletion": [0, 3]}
 
     def test_build_deterministic(self):
         problem = get_problem("conic")
@@ -465,45 +503,33 @@ class TestTemplates:
             back = template_from_json(template_to_json(t))
             assert back == t
 
-    def test_toy_serialization_round_trip(self):
-        toy = SolverTemplate(
-            problem_id="toy",
-            n_vars=2,
-            hidden_index=0,
-            size=3,
-            basis=((2,), (1,), (0,)),
-            k=2,
-            r=1,
-            deletion_pair=(0, 0),
-            recovery_pairs={1: (1, 2)},
-        )
-        assert template_from_json(template_to_json(toy)) == toy
+    def test_pickle_carries_the_compiled_plan_not_the_problem(self, conic_template):
+        # run_bench pickles the template to its workers, and a Problem may
+        # hold closures: the template keeps only its id, ints and arrays
+        rules = conic_template.primary_rule, conic_template.alternate_rules
+        back = pickle.loads(pickle.dumps(conic_template))
+        assert back == conic_template
+        assert np.array_equal(back.primary_rule, rules[0])
+        assert all(np.array_equal(a, b) for a, b in zip(back.alternate_rules, rules[1]))
+        assert not any(isinstance(v, Problem) for v in vars(back).values())
+
+    def test_toy_serialization_round_trip(self, toy_template):
+        back = template_from_json(template_to_json(toy_template))
+        assert back == toy_template and back.recovery_pairs == {1: (1, 2)}
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            SolverTemplate(
-                problem_id="bad",
-                n_vars=2,
-                hidden_index=0,
-                size=3,
-                basis=((2,), (1,), (0,)),
-                k=1,
-                r=2,  # r > k
-                deletion_pair=(0, 0),
-                recovery_pairs={1: (1, 2)},
-            )
-        with pytest.raises(ValueError):
-            SolverTemplate(
-                problem_id="bad",
-                n_vars=2,
-                hidden_index=0,
-                size=3,
-                basis=((2,), (1,), (0,)),
-                k=2,
-                r=1,
-                deletion_pair=(0, 1),
-                recovery_pairs={1: (1, 2)},  # pair hits the deleted column
-            )
+        for problem_id, k, deletion in [
+            ("conic", 3, (0, 3)),  # r = 4 > k
+            ("conic", 4, (0, 4)),  # past the 4-column basis
+            ("conic", 4, (-1, 3)),
+            ("conic", 4, (0, 1, 2)),
+            ("conic", True, (0, 3)),  # a JSON true is not a number
+            ("conic", 4, (0, 3.0)),
+            (["conic"], 4, (0, 3)),
+            ("nonesuch", 4, (0, 3)),  # unknown problem
+        ]:
+            with pytest.raises(ValueError):
+                SolverTemplate(problem_id, k, deletion)
 
 
 class TestSolutionCountOracles:

@@ -331,7 +331,7 @@ class TestSharedProperties:
             for seed in range(5):
                 data, _ = problem.generate_instance(np.random.default_rng(seed))
                 result = solve_online(template, data)
-                assert len(result.accepted) <= template.r
+                assert len(result.accepted) <= problem.expected_solutions
 
     def test_normalization_invariance(self, conic_template, five_point_template):
         # common scaling of the raw inputs must not move the solution set

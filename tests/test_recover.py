@@ -1,4 +1,4 @@
-import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 import equation_oracles
 from resultant_solve import recover
 from resultant_solve.matrixpoly import evaluate_at
-from resultant_solve.offline import SolverTemplate, build_template, cramer_rule
+from resultant_solve.offline import build_template, cramer_rule, template_from_json
 from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import five_point, generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
@@ -18,22 +18,6 @@ from resultant_solve.recover import (
 )
 from resultant_solve.rootfind import real_candidates, roots
 from resultant_solve.spectral import batched_eval, recover_coefficients, trim
-
-
-def _toy_template():
-    # three-column power basis (v^2, v, 1) for one recoverable variable v,
-    # hidden variable first; row 0 / column 0 deleted
-    return SolverTemplate(
-        problem_id="toy",
-        n_vars=2,
-        hidden_index=0,
-        size=3,
-        basis=((2,), (1,), (0,)),
-        k=2,
-        r=1,
-        deletion_pair=(0, 0),
-        recovery_pairs={1: (1, 2)},
-    )
 
 
 def _matrix_with_null_vector(rng, b):
@@ -141,20 +125,18 @@ class TestCramerRatio:
 
 
 class TestRecoverVariable:
-    def test_known_solution(self):
+    def test_known_solution(self, toy_template):
         # null vector (9, 3, 1) encodes v = 3
         rng = np.random.default_rng(1)
         m = _matrix_with_null_vector(rng, np.array([9.0, 3.0, 1.0]))
-        template = _toy_template()
-        values, _ = cramer_at(m[None], template.primary_rule)
+        values, _ = cramer_at(m[None], toy_template.primary_rule)
         assert values[0, 0] == pytest.approx(3.0, abs=1e-10)
 
-    def test_zero_coordinate(self):
+    def test_zero_coordinate(self, toy_template):
         # null vector (0, 0, 1) encodes v = 0: numerator determinant vanishes
         rng = np.random.default_rng(2)
         m = _matrix_with_null_vector(rng, np.array([0.0, 0.0, 1.0]))
-        template = _toy_template()
-        values, _ = cramer_at(m[None], template.primary_rule)
+        values, _ = cramer_at(m[None], toy_template.primary_rule)
         assert values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_conic_instance_coordinates(self, conic_template):
@@ -183,7 +165,12 @@ class TestBackSubstitution:
         monkeypatch.setattr(recover, "det_complex", spy)
         return shapes
 
-    def test_only_the_singular_root_takes_the_fallback(self, monkeypatch):
+    @staticmethod
+    def _back_substitute(stack, template, hidden_values):
+        problem = get_problem(template.problem_id)
+        return recover._back_substitute(stack, problem, template, hidden_values)
+
+    def test_only_the_singular_root_takes_the_fallback(self, monkeypatch, toy_template):
         # at v = 0 rows 1 and 2 of M are parallel, so the template pair's
         # submatrix is singular there; v = 1 is generic.  Null vectors:
         # (4, 2, 1) at v = 0 (u = 2) and (9, 3, 1) at v = 1 (u = 3).
@@ -191,7 +178,7 @@ class TestBackSubstitution:
         m1 = _matrix_with_null_vector(np.random.default_rng(5), np.array([9.0, 3.0, 1.0]))
         stack = np.stack([m0, m1.real - m0])
         shapes = self._spy_dets(monkeypatch)
-        found, _ = recover._back_substitute(stack, _toy_template(), np.array([0.0, 1.0]))
+        found, _ = self._back_substitute(stack, toy_template, np.array([0.0, 1.0]))
         # both roots, one variable, num + den; then v = 0 alone tries the
         # alternates (0, 2) (singular again: rows 1 and 2 stay) and (1, 0)
         assert shapes == [(2, 2, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2)]
@@ -199,19 +186,19 @@ class TestBackSubstitution:
         assert found[0, 1] == pytest.approx(2.0, abs=1e-12)
         assert found[1, 1] == pytest.approx(3.0, abs=1e-10)
 
-    def test_each_singular_root_takes_its_own_first_usable_rule(self, monkeypatch):
+    def test_each_singular_root_takes_its_own_first_usable_rule(self, monkeypatch, toy_template):
         # both roots are singular under the template pair (0, 0).  At v = 0
         # the first alternate (0, 2) works; at v = 1 rows 1 and 2 are
         # parallel, so (0, 2) is singular too and the second alternate
         # (1, 0) is the first usable one.
         m0 = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         m1 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
-        template = _toy_template()
+        template = toy_template
         first, second = ((0, 2), {1: (0, 1)}), ((1, 0), {1: (1, 2)})
         for rule, (pair, pairs) in zip(template.alternate_rules, (first, second)):
             assert np.array_equal(rule, cramer_rule(3, pair, pairs))
         shapes = self._spy_dets(monkeypatch)
-        found, m_at_roots = recover._back_substitute(
+        found, m_at_roots = self._back_substitute(
             np.stack([m0, m1 - m0]), template, np.array([0.0, 1.0])
         )
         # the primary, then the first alternate on both singular roots at
@@ -222,69 +209,68 @@ class TestBackSubstitution:
         assert found[0, 1] == pytest.approx(_reference_ratios(m0, *first)[0], abs=1e-12)
         assert found[1, 1] == pytest.approx(_reference_ratios(m1, *second)[0], abs=1e-12)
 
-    def test_roots_singular_under_every_rule_are_discarded(self, monkeypatch):
+    def test_roots_singular_under_every_rule_are_discarded(self, monkeypatch, toy_template):
         # every 2x2 minor of the all-ones matrix vanishes, so both roots
         # try the primary and every alternate together and are dropped
-        template = _toy_template()
+        template = toy_template
         shapes = self._spy_dets(monkeypatch)
-        found, m_at_roots = recover._back_substitute(
+        found, m_at_roots = self._back_substitute(
             np.ones((1, 3, 3)), template, np.array([0.5, 2.0])
         )
         assert found.shape == (0, 2) and m_at_roots.shape == (0, 3, 3)
         assert recover._residuals(m_at_roots, template, found, (0, 1, 2)).shape == (0,)
         assert shapes == [(2, 2, 2, 2)] * (1 + len(template.alternate_rules))
 
-    def _fake_ratios(self, monkeypatch, primary, alternate):
+    @staticmethod
+    def _fake_ratios(monkeypatch, template, primary, alternate):
         calls = []
 
         def fake(m_at_roots, index):
             calls.append(index)
-            return primary if index is self._TOY3.primary_rule else alternate
+            return primary if index is template.primary_rule else alternate
 
         monkeypatch.setattr(recover, "cramer_at", fake)
         return calls
 
-    _TOY3 = SolverTemplate(
-        problem_id="toy3",
-        n_vars=3,
-        hidden_index=0,
-        size=4,
-        basis=((1, 0), (0, 1), (0, 0), (1, 1)),
-        k=1,
-        r=1,
-        deletion_pair=(0, 3),
-        recovery_pairs={1: (0, 2), 2: (1, 2)},
-    )
+    def _three_var_candidates(self, template):
+        assert template.recovery_pairs == {1: (0, 2), 2: (1, 2)}
+        coords, m_at_roots = self._back_substitute(np.eye(4)[None], template, np.array([0.5]))
+        return coords, recover._residuals(m_at_roots, template, coords, (0, 1, 2, 3))
 
-    def _three_var_candidates(self):
-        coords, m_at_roots = recover._back_substitute(
-            np.eye(4)[None], self._TOY3, np.array([0.5])
-        )
-        return coords, recover._residuals(m_at_roots, self._TOY3, coords, (0, 1, 2, 3))
-
-    def test_singular_then_working_alternate_takes_the_fallback(self, monkeypatch):
+    def test_singular_then_working_alternate_takes_the_fallback(self, monkeypatch, toy3_template):
         calls = self._fake_ratios(
             monkeypatch,
+            toy3_template,
             (np.array([[0.0, 1.0]]), np.array([[True, False]])),
             (np.array([[2.0, 3.0]]), np.array([[False, False]])),
         )
-        found, _ = self._three_var_candidates()
+        found, _ = self._three_var_candidates(toy3_template)
         assert found.tolist() == [[0.5, 2.0, 3.0]]
-        assert calls[0] is self._TOY3.primary_rule and len(calls) == 2
+        assert calls[0] is toy3_template.primary_rule and len(calls) == 2
 
-    def test_singular_under_every_pair_is_discarded(self, monkeypatch):
+    def test_singular_under_every_pair_is_discarded(self, monkeypatch, toy3_template):
         calls = self._fake_ratios(
             monkeypatch,
+            toy3_template,
             (np.array([[1.0, 0.0]]), np.array([[False, True]])),
             (np.array([[2.0, 0.0]]), np.array([[False, True]])),
         )
-        found, residuals = self._three_var_candidates()
+        found, residuals = self._three_var_candidates(toy3_template)
         assert found.shape == (0, 3) and residuals.shape == (0,)
-        alternates = self._TOY3.alternate_rules
+        alternates = toy3_template.alternate_rules
         assert len(alternates) > 1
         # every alternate was tried, in order
-        assert calls[0] is self._TOY3.primary_rule and len(calls) == 1 + len(alternates)
+        assert calls[0] is toy3_template.primary_rule and len(calls) == 1 + len(alternates)
         assert all(call is rule for call, rule in zip(calls[1:], alternates))
+
+
+    def test_generic_solves_compile_no_alternates(self):
+        # the alternates are compiled the first time a root needs them
+        problem = get_problem("five_point")
+        template = build_template(problem, 7)
+        for seed in range(5):
+            solve_online(template, generate_instance("five_point", seed)[0])
+        assert "primary_rule" in vars(template) and "alternate_rules" not in vars(template)
 
 
 class TestDeduplicate:
@@ -392,45 +378,45 @@ class TestSolveOnline:
             solve_online(conic_template, ConicPairData(c1, c2))
 
     @staticmethod
-    def _mismatched(template, change):
-        """A template that passes its own checks but not its problem's.
+    def _earlier_format(template, reverse_basis):
+        """The template as the earlier format wrote it, copies of the problem included.
 
-        The deletion and recovery pairs follow the change, so each Cramer
-        rule still reads a valid monomial ratio, for the wrong monomials.
+        ``reverse_basis`` reverses the basis copy and mirrors the recovery
+        pairs to match, pairs that would pick the wrong columns if read.
         """
-        n, (i, j) = template.size, template.deletion_pair
-        pairs = template.recovery_pairs
-        if change == "reversed basis":
-            return dataclasses.replace(
-                template,
-                basis=template.basis[::-1],
-                deletion_pair=(i, n - 1 - j),
-                recovery_pairs={w: (n - 1 - a, n - 1 - b) for w, (a, b) in pairs.items()},
-            )
-        if change == "swapped variables":
-            return dataclasses.replace(
-                template,
-                basis=tuple(e[::-1] for e in template.basis),
-                recovery_pairs={0: pairs[1], 1: pairs[0]},
-            )
-        return dataclasses.replace(template, hidden_index=0, recovery_pairs={1: pairs[0]})
+        problem = get_problem(template.problem_id)
+        basis = [list(e) for e in problem.basis]
+        n, pairs = len(basis), template.recovery_pairs
+        if reverse_basis:
+            basis = basis[::-1]
+            pairs = {w: (n - 1 - a, n - 1 - b) for w, (a, b) in pairs.items()}
+        return json.dumps({
+            "problem": problem.problem_id,
+            "n_vars": problem.n_vars,
+            "hidden": problem.hidden_index,
+            "N": n,
+            "k": template.k,
+            "r": problem.expected_solutions,
+            "basis": basis,
+            "deletion": list(template.deletion_pair),
+            "recovery": {str(w): list(p) for w, p in sorted(pairs.items())},
+        })
 
-    @pytest.mark.parametrize(
-        "pid, change, field",
-        [
-            ("conic", "reversed basis", "basis"),
-            ("conic", "hidden x", "hidden_index"),
-            ("five_point", "swapped variables", "basis"),
-        ],
-    )
-    def test_template_of_another_layout_is_refused(self, request, pid, change, field):
-        # without the check such templates accept residual-small solutions
-        # of the permuted system (1 / x for the reversed conic basis), none
-        # of them the instance's
-        template = self._mismatched(request.getfixturevalue(f"{pid}_template"), change)
-        data, _ = generate_instance(pid, 1)
-        with pytest.raises(SolveError, match=f"template {field} does not match problem {pid}"):
-            solve_online(template, data)
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    @pytest.mark.parametrize("reverse_basis", [False, True])
+    def test_earlier_format_solves_bitwise_like_the_new(self, request, pid, reverse_basis):
+        # a file of the earlier format loads its k and deletion pair and
+        # ignores its copies of the problem, so no Cramer rule reads the
+        # columns of a basis other than the problem's
+        template = request.getfixturevalue(f"{pid}_template")
+        loaded = template_from_json(self._earlier_format(template, reverse_basis))
+        assert loaded == template and loaded.recovery_pairs == template.recovery_pairs
+        for seed in range(20):
+            data, _ = generate_instance(pid, [41, seed])
+            new, old = solve_online(template, data), solve_online(loaded, data)
+            assert solution_set_to_json(new) == solution_set_to_json(old)
+            for a, b in zip(new.accepted, old.accepted):
+                assert a.x.tobytes() == b.x.tobytes()
 
     def test_json_shape(self, conic_template):
         data, _ = generate_instance("conic", 8)

@@ -23,7 +23,14 @@ def test_one_line_per_seed_and_repeatable(capsys):
     assert capsys.readouterr().out.splitlines() == first
     assert len(first) == 3
     for seed, line in zip(range(3, 6), first):
-        assert re.fullmatch(rf"{seed}( [0-9a-f]{{64}}){{5}}", line), line
+        assert re.fullmatch(rf"{seed} 4 0,3( [0-9a-f]{{64}}){{5}}", line), line
     # every seed of a problem builds the same template from different draws
-    assert len({line.split()[1] for line in first}) == 1
-    assert len({line.split()[2] for line in first}) == 3
+    assert len({line.split()[3] for line in first}) == 1
+    assert len({line.split()[4] for line in first}) == 3
+
+
+def test_offline_decisions_in_clear(capsys):
+    templates = _load()
+    assert templates.main(["--problem", "five_point", "--seeds", "0..1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [["0", "10", "0,9"], ["1", "10", "0,9"]]

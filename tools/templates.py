@@ -7,14 +7,17 @@ For each seed in the inclusive range, the template is
 ``specialize(problem, seed)``, the two Z_p matrices it reads.  Each line
 reads
 
-    seed template stack_0 det_0 stack_1 det_1
+    seed k i,j template stack_0 det_0 stack_1 det_1
 
-where ``template`` is the sha256 of ``template_to_json``, and ``stack_s``
-and ``det_s`` are the sha256 of specialization s's residue stack (its
-shape and entries) and of its determinant's coefficients, both as JSON.  A
-seed whose build raises ``TemplateError`` prints ``error`` in place of the
-hashes.  Run it against two checkouts (``PYTHONPATH=<checkout>/src``) and
-diff the outputs to list every seed whose offline stage changed.
+where ``k`` and ``i,j`` are the template's determinant degree and deletion
+pair in clear, ``template`` is the sha256 of ``template_to_json``, and
+``stack_s`` and ``det_s`` are the sha256 of specialization s's residue
+stack (its shape and entries) and of its determinant's coefficients, both
+as JSON.  A seed whose build raises ``TemplateError`` prints ``error`` in
+place of the rest.  Run it against two checkouts
+(``PYTHONPATH=<checkout>/src``) and diff the outputs to list every seed
+whose offline stage changed; across a change of the template format only
+the ``template`` column moves, and the decisions stay readable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def template_line(problem, seed: int) -> str:
         template = build_template(problem, seed)
     except TemplateError:
         return f"{seed} error"
-    fields = [str(seed), _sha256(template_to_json(template))]
+    i, j = template.deletion_pair
+    fields = [str(seed), str(template.k), f"{i},{j}", _sha256(template_to_json(template))]
     for spec in specialize(problem, seed):
         fields.append(_sha256(json.dumps([spec.stack.shape, spec.stack.tolist()])))
         fields.append(_sha256(json.dumps(spec.det)))
