@@ -175,15 +175,15 @@ def det_modular(stacks: list, primes: list) -> list:
     """Exact determinant polynomials of Z_p matrix polynomials, one per stack.
 
     Each of ``stacks`` is a (d+1, N, N) coefficient stack, the layout
-    ``build`` returns, as an ``object`` array of Python ints in [0, p) for
-    its own prime p in ``primes``; all share N, not d.  Mirrors the online
-    pipeline structurally.  A stack's determinant has degree at most D,
-    the smaller of the sums of its column and its row degrees, read from
-    the non-zero entries (``_degree_bound``; all-zero top slices, as a
-    minor may have, add nothing), so D + 1 samples fix it.  The batch
-    evaluates every stack at the P = max(D + 1) points 0..P-1 in one
-    matrix Horner pass, takes all the scalar determinants in one
-    division-free elimination, each matrix modulo its own prime, and
+    ``build`` returns, of residues in [0, p) for its own prime p in
+    ``primes``, as ``int64`` or as an ``object`` array of Python ints; all
+    share N, not d.  Mirrors the online pipeline structurally.  A stack's
+    determinant has degree at most D, the smaller of the sums of its column
+    and its row degrees, read from the non-zero entries (``_degree_bound``;
+    all-zero top slices, as a minor may have, add nothing), so D + 1 samples
+    fix it.  The batch evaluates every stack at the P = max(D + 1) points
+    0..P-1 in one matrix Horner pass, takes all the scalar determinants in
+    one division-free elimination, each matrix modulo its own prime, and
     interpolates every polynomial by Newton in O(P^2).  P must not exceed
     any prime, and the work is in ``int64``, so each p must keep (p-1)^2
     within ``int64``.
@@ -345,7 +345,7 @@ def template_from_json(text: str) -> SolverTemplate:
 class Specialization(NamedTuple):
     """One exact instance of a problem matrix over Z_p."""
 
-    stack: np.ndarray  # (d+1, N, N) object array of residues
+    stack: np.ndarray  # (d+1, N, N) residues in [0, p), int64 or object ints
     p: int
     det: list  # its determinant in Z_p[x], ascending, non-constant
 

@@ -6,6 +6,12 @@ satisfy det(E) = 0 plus the nine trace constraints
 2 E E^T E - trace(E E^T) E = 0.  Expanding those ten cubics in (x, y, z)
 and hiding z yields a 10x10 matrix polynomial of entry degree 3 over the
 monomial basis (x^3, y^3, x^2 y, x y^2, x^2, y^2, x y, x, y, 1).
+
+Each cubic is written first as 64 trilinear forms, one per ordered
+triple of the monomials (x, y, z, 1), and then scattered to the 20 cubic
+monomials by the 0/1 table ``_SCATTER``.  Online, both steps run in
+float64.  The offline Z_p specialization computes the forms exactly in
+Python ints, reduces them mod p and scatters the residues in ``int64``.
 """
 
 from __future__ import annotations
@@ -74,15 +80,16 @@ _SCATTER = _scatter_matrix()
 _LEVI_CIVITA = _levi_civita()
 
 
-def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
-    """The ten cubic constraints as a (10, 20) matrix over the MON3 basis.
+def _triple_forms(e_basis: np.ndarray) -> np.ndarray:
+    """The ten cubic constraints as (10, 64) trilinear forms, one per MON1 triple.
 
     ``e_basis`` is (4, 3, 3): E_1..E_4, the coefficients of (x, y, z, 1)
     in E.  Row 0 is det E, whose triple (a, b, c) form is
     E_a[0] . (E_b[1] x E_c[2]); rows 1..9 are the entries (row-major) of
     2 E E^T E - tr(E E^T) E, whose triple form is
-    2 E_a E_b^T E_c - tr(E_a E_b^T) E_c.  Works on float arrays and on
-    exact ``object`` arrays of Python ints alike.
+    2 E_a E_b^T E_c - tr(E_a E_b^T) E_c.  Column 16a + 4b + c holds
+    triple (a, b, c), the row order of ``_SCATTER``.  Works on float
+    arrays and on exact ``object`` arrays of Python ints alike.
     """
     e = np.asarray(e_basis)
     rows = e.reshape(12, 3)  # row r of E_a at 3a + r
@@ -96,8 +103,16 @@ def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
     eet_e = eet_e.transpose(1, 4, 0, 2, 3).reshape(9, 64)  # [(r, col), triple]
     trace = flat @ flat.T  # tr(E_a E_b^T)
     trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
-    forms = np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
-    return forms @ _SCATTER
+    return np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
+
+
+def constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
+    """The ten cubic constraints as a (10, 20) matrix over the MON3 basis.
+
+    Each triple form of ``_triple_forms`` is scattered to the slot of its
+    monomial.
+    """
+    return _triple_forms(e_basis) @ _SCATTER
 
 
 def _nullspace_basis(data: "FivePointData") -> np.ndarray:
@@ -145,9 +160,16 @@ def build(cubics: np.ndarray) -> np.ndarray:
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
-    """M(z) over Z_p from random residues for the 36 E-basis entries."""
+    """M(z) over Z_p from random residues for the 36 E-basis entries, in ``int64``.
+
+    The triple forms are exact Python ints, reduced mod p; the scatter
+    then runs in ``int64``, where each MON3 slot sums at most
+    ``_SCATTER.sum(axis=0).max()`` (6) residues below p: below 2^34 for
+    a 31-bit p, far inside ``int64``.
+    """
     e_basis = rng.integers(1, p, size=(4, 3, 3)).astype(object)
-    return build(constraint_vectors(e_basis)) % p
+    forms = (_triple_forms(e_basis) % p).astype(np.int64)
+    return build(forms @ _SCATTER % p)
 
 
 def original_equations(data: FivePointData) -> np.ndarray:

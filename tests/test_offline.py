@@ -251,6 +251,39 @@ class TestDegreeBound:
         assert bound < stack.shape[1] * (len(stack) - 1)
 
 
+class _Worst:
+    """A stand-in rng whose every residue draw is p - 1."""
+
+    def integers(self, low, high, size):
+        return np.full(size, high - 1)
+
+
+class TestFivePointModularMatrix:
+    @staticmethod
+    def _python_int_oracle(e_basis, p):
+        # the whole expansion on Python ints, then one reduction
+        return five_point.build(five_point.constraint_vectors(e_basis.astype(object))) % p
+
+    @pytest.mark.parametrize("prime", SPECIALIZATION_PRIMES)
+    def test_residue_scatter_matches_python_int_oracle(self, prime):
+        draws, replay = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(50):
+            got = five_point.modular_matrix(draws, prime)
+            e_basis = replay.integers(1, prime, size=(4, 3, 3))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, self._python_int_oracle(e_basis, prime))
+
+    @pytest.mark.parametrize("prime", SPECIALIZATION_PRIMES)
+    def test_worst_case_draw(self, prime):
+        # E entries all -1 give trace-constraint forms of -9, residue p - 9,
+        # so the scatter's fullest slots sum six residues close to p
+        got = five_point.modular_matrix(_Worst(), prime)
+        want = self._python_int_oracle(np.full((4, 3, 3), prime - 1), prime)
+        np.testing.assert_array_equal(got, want)
+        # the int64 scatter sums at most this many residues below p per slot
+        assert five_point._SCATTER.sum(axis=0).max() * (prime - 1) < 2**63
+
+
 class TestDetectDegree:
     def test_toy_diagonal(self):
         builder = _ToyBuilder(_diag_x_stack(3))
