@@ -15,11 +15,12 @@ and the two decisions are frozen, with the problem's id, into a
 JSON-serializable SolverTemplate that the online stage replays on every
 instance.  Everything else the online stage needs (the variables, the
 basis and with it N, the solution count r) is the problem's, read through
-``get_problem``.  Whatever it derives from the template and its problem
-(the recovery pairs, chosen from the basis for the deleted column, the
-Cramer gather indices, the recovered variable columns, the basis
-exponents, the alternate deletion pairs) is compiled once, into cached
-properties of the template.
+``get_problem``.  What it derives from the template and its problem
+(the recovered variable columns, the basis exponents, and the Cramer
+rules: the deletion pair and its alternates, each with the recovery
+pairs that ``select_recovery_pairs`` picks from the basis for its
+column, as one gather index) is compiled once, into cached properties
+of the template.
 
 Floating-point GCDs are ill-defined and rational arithmetic blows up, so
 the coprimality test works modulo two fixed 31-bit primes; a pair is
@@ -260,14 +261,6 @@ class SolverTemplate:
     # may hold closures.
 
     @cached_property
-    def recovery_pairs(self) -> dict:
-        """The basis index pairs that recover each variable, the deleted column aside."""
-        problem = get_problem(self.problem_id)
-        return select_recovery_pairs(
-            problem.basis, self.deletion_pair[1], problem.n_vars, problem.hidden_index
-        )
-
-    @cached_property
     def recovered_columns(self) -> np.ndarray:
         """The non-hidden variables, in order."""
         problem = get_problem(self.problem_id)
@@ -279,38 +272,43 @@ class SolverTemplate:
         return np.asarray(get_problem(self.problem_id).basis)
 
     @cached_property
-    def primary_rule(self) -> np.ndarray:
-        """The template's deletion pair and recovery pairs, compiled."""
-        return cramer_rule(len(self.exponents), self.deletion_pair, self.recovery_pairs)
+    def rules(self) -> np.ndarray:
+        """Every Cramer rule, as one (P, 2W, N-1, N-1) gather index into [M | -M].
 
-    @cached_property
-    def alternate_rules(self) -> list:
-        """Row-major alternates to the template's deletion pair, as gather indices.
-
-        The offline pair is validated on generic data, but a special instance
-        can zero it out structurally (for example when the deleted column has
-        support only in the deleted row); alternates keep such candidates
-        alive.  Each column's recovery pairs come from
-        ``select_recovery_pairs``; columns that leave some variable
-        unrecoverable are skipped.  Only a solve with a singular root needs
-        them, so they are compiled the first time one does.
+        Rule 0 is the template's deletion pair; rules 1.. are every other
+        pair (i, j), in row-major order, whose column j leaves each
+        variable recoverable (``select_recovery_pairs``).  The offline pair
+        is validated on generic data, but a special instance can zero it
+        out structurally (for example when the deleted column has support
+        only in the deleted row); the alternates keep such roots alive.
+        Rule (i, j) deletes row i and column j of the (N, 2N) matrix
+        [M | -M] and, for each recovered variable in ascending order, the
+        numerator then the denominator of its recovery pair, replaces that
+        pair's column by column N + j, the right-hand side -M[:, j]
+        without row i.
         """
         problem = get_problem(self.problem_id)
         size = len(problem.basis)
-        pairs_for_col: dict = {}
+        index = np.arange(size)
+        columns = {}  # j -> (2W, N-1) column index of the submatrices
         for j in range(size):
             try:
-                pairs_for_col[j] = select_recovery_pairs(
+                pairs = select_recovery_pairs(
                     problem.basis, j, problem.n_vars, problem.hidden_index
                 )
             except TemplateError:
-                pass
-        return [
-            cramer_rule(size, (i, j), pairs_for_col[j])
-            for i in range(size)
-            for j in range(size)
-            if (i, j) != self.deletion_pair and j in pairs_for_col
+                if j == self.deletion_pair[1]:
+                    raise
+                continue
+            kept = index[index != j]
+            replaced = np.array([c for w in sorted(pairs) for c in pairs[w]])
+            columns[j] = np.where(kept == replaced[:, None], size + j, kept)
+        order = [self.deletion_pair] + [
+            (i, j) for i in range(size) for j in columns if (i, j) != self.deletion_pair
         ]
+        rows = np.array([index[index != i] for i, _ in order])
+        cols = np.array([columns[j] for _, j in order])
+        return rows[:, None, :, None] * (2 * size) + cols[:, :, None, :]
 
 
 def template_to_json(template: SolverTemplate) -> str:
@@ -345,7 +343,7 @@ def template_from_json(text: str) -> SolverTemplate:
 class Specialization(NamedTuple):
     """One exact instance of a problem matrix over Z_p."""
 
-    stack: np.ndarray  # (d+1, N, N) residues in [0, p), int64 or object ints
+    stack: np.ndarray  # (d+1, N, N) int64 residues in [0, p)
     p: int
     det: list  # its determinant in Z_p[x], ascending, non-constant
 
@@ -464,30 +462,3 @@ def build_template(problem, rng_seed: int) -> SolverTemplate:
             f"expected solution count {problem.expected_solutions} exceeds degree {k}"
         )
     return SolverTemplate(problem_id=problem.problem_id, k=k, deletion_pair=deletion)
-
-
-# --- compiled Cramer rules ----------------------------------------------------
-
-
-def cramer_rule(size: int, deletion_pair: tuple, recovery_pairs: dict) -> np.ndarray:
-    """Compile a deletion pair of an N x N matrix and its recovery pairs.
-
-    The rule is its (2W, N-1, N-1) gather index: for each recovered
-    variable in ascending order, the numerator then the denominator
-    submatrix, as flat indices into the (N, 2N) matrix [M | -M] that every
-    rule of a template shares.  Row i and column j are deleted, and the
-    column of the pair's basis index is replaced by column N + j, the
-    right-hand side -M[:, j] without row i.
-    """
-    i, j = deletion_pair
-    for pair in recovery_pairs.values():
-        if any(c == j or not 0 <= c < size for c in pair):
-            raise ValueError(f"recovery pair {pair} out of range or deleted")
-    rows = np.array([r for r in range(size) if r != i])
-    cols = [c for c in range(size) if c != j]
-    index = []
-    for w in sorted(recovery_pairs):
-        for c in recovery_pairs[w]:
-            replaced = [size + j if col == c else col for col in cols]
-            index.append(rows[:, None] * (2 * size) + np.array(replaced))
-    return np.array(index)

@@ -52,10 +52,10 @@ class Problem:
     module's ``ROWS``, (equation, multiplier) pairs, and is ring-agnostic:
     it keeps the dtype of its input.  ``modular_matrix(rng, p)`` returns a
     random instance of the matrix over Z_p as a (d+1, N, N) stack of
-    residues in [0, p), by running ``build`` on equations drawn from
-    random residues: ``conic`` builds from exact ``object`` equations of
-    Python ints and reduces the stack mod p; ``five_point`` reduces its
-    exact intermediate forms mod p and finishes in ``int64``.
+    residues in [0, p), in ``int64``, by running ``build`` on equations
+    drawn from random residues: ``conic`` builds from its residue
+    equations and reduces the stack mod p; ``five_point`` reduces its
+    exact intermediate Python-int forms mod p and finishes in ``int64``.
     ``equation_rows`` names the matrix rows that are the original
     equations, those of ``ROWS`` whose multiplier is 1: row i of M(z)
     times the basis monomials v(x) is one equation, which is how the

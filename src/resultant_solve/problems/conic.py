@@ -72,8 +72,8 @@ def build(rows: np.ndarray) -> np.ndarray:
 
     ``rows`` is what ``original_equations`` returns, gathered into the
     rows x f1, f1, x f2, f2 of ``ROWS``.  Ring-agnostic: floats give the
-    online matrix, Python ints in an ``object`` array the exact one; the
-    stack keeps the dtype of ``rows``.
+    online matrix, ``int64`` residues the exact one; the stack keeps the
+    dtype of ``rows``.
     """
     if max(abs(rows[0, 0]), abs(rows[1, 0])) < LEADING_TOL:
         raise DegenerateDataError(
@@ -83,13 +83,14 @@ def build(rows: np.ndarray) -> np.ndarray:
 
 
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
-    """M(y) over Z_p from fresh residues for the 12 conic coefficients.
+    """M(y) over Z_p from fresh residues for the 12 conic coefficients, in ``int64``.
 
     Only the upper triangles are read, so two random 3x3 residue matrices
-    stand for two generic symmetric conics.
+    stand for two generic symmetric conics.  The doubled off-diagonal
+    entries stay below 2p, far inside ``int64``.
     """
-    c1, c2 = rng.integers(1, p, size=(2, 3, 3)).astype(object)
-    return build(np.array([_conic_row(c1), _conic_row(c2)], dtype=object)) % p
+    c1, c2 = rng.integers(1, p, size=(2, 3, 3))
+    return build(np.array([_conic_row(c1), _conic_row(c2)])) % p
 
 
 def _conics_through(points: np.ndarray, rng: np.random.Generator) -> tuple:

@@ -12,8 +12,8 @@ once, in float64: one Horner pass evaluates the matrix at every root,
 and every Cramer-rule ratio of every root comes from one batched LU call
 on a stack of column-replaced submatrices, gathered from [M | -M]
 through the index that the template compiled once for its deletion
-pair.  Roots whose deletion submatrix is singular retry the alternate
-deletion pairs together, one rule at a time, and each keeps the first
+pair.  Roots whose deletion submatrix is singular retry the template's
+other rules together, one rule at a time, and each keeps the first
 that works.  The original equations are rows of the matrix (the problem
 names them in ``equation_rows``), so each candidate's residual is read
 from M(z) v(x) at its root, with no second pass over the equations.
@@ -42,7 +42,6 @@ RESIDUAL_FAIL_THRESHOLD = 1e-3
 # tolerance must sit above that to collapse them into one solution
 DUPLICATE_TOL = 1e-7
 SINGULAR_FLOOR = 1e-300
-REAL_SYMMETRY_TOL = 1e-10
 
 
 class SolveError(RuntimeError):
@@ -75,8 +74,8 @@ def cramer_at(m_at_roots: np.ndarray, index: np.ndarray) -> tuple:
     """Every recovered variable at every root, as Cramer determinant ratios.
 
     ``m_at_roots`` is the (R, N, N) stack of the matrix evaluated at R
-    hidden-variable values, and ``index`` a deletion pair (i, j) with its
-    recovery pairs, compiled by ``offline.cramer_rule``: row i and column j
+    hidden-variable values, and ``index`` one of ``SolverTemplate.rules``,
+    a deletion pair (i, j) with its recovery pairs: row i and column j
     are removed, and the negated column j, without row i, is the
     right-hand side.  Variable w (ascending order of the recovery pairs) is
     det(replace column j1) / det(replace column j2) for its pair (j1, j2);
@@ -113,21 +112,15 @@ def equation_values(
     return (m_at_roots @ monomials[..., None])[:, rows, 0]
 
 
-def _rules(template: SolverTemplate):
-    """The primary rule, then the alternates, compiled only when reached."""
-    yield template.primary_rule
-    yield from template.alternate_rules
-
-
 def _back_substitute(
     stack: np.ndarray, problem, template: SolverTemplate, hidden_values: np.ndarray
 ) -> tuple:
     """(coords, m_at_roots) of the roots that back-substitution keeps.
 
-    Every root starts under the template's primary rule; the roots
-    singular there for some variable retry the alternate rules in order,
-    all still-singular roots at once, so each keeps the first rule that is
-    non-singular for every variable; roots left when the alternates run
+    Every root starts under the template's first rule, its deletion pair;
+    the roots singular there for some variable retry the other rules in
+    order, all still-singular roots at once, so each keeps the first rule
+    that is non-singular for every variable; roots left when the rules run
     out are discarded.  ``coords`` is (R, n) with the hidden value in its
     column, and ``m_at_roots`` the (R, N, N) matrix at the kept roots,
     both in root order.
@@ -138,7 +131,7 @@ def _back_substitute(
     coords = np.empty((len(hidden_values), problem.n_vars))
     coords[:, problem.hidden_index] = hidden_values
     pending = np.arange(len(hidden_values))
-    for index in _rules(template):
+    for index in template.rules:
         values, singular = cramer_at(m_at_roots[pending], index)
         # a singular root's values are overwritten by a later rule or dropped
         coords[pending[:, None], template.recovered_columns] = values
@@ -212,7 +205,8 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
         raise SolveError(f"template degree {template.k} exceeds N d = {max_degree}")
 
     # the stack is real, so the det at sample k+1-j is bit for bit the
-    # conjugate of the det at sample j: only the upper half circle takes an LU
+    # conjugate of the det at sample j: only the upper half circle takes an
+    # LU, and the IFFT of these Hermitian samples is real up to rounding
     count = template.k + 1
     upper = det_complex(batched_eval(stack, template.k)[: count // 2 + 1])
     samples = np.concatenate((upper, upper[(count - 1) // 2 : 0 : -1].conj()))
@@ -220,10 +214,6 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     max_mag = float(np.abs(raw).max())
     if max_mag == 0.0:
         raise SolveError("degenerate instance: determinant vanished identically")
-    if float(np.abs(raw.imag).max()) > REAL_SYMMETRY_TOL * max_mag:
-        raise SolveError(
-            "degenerate instance: real-coefficient symmetry violated"
-        )
     det_poly = trim(raw.real)
     if len(det_poly) < 2:
         raise SolveError("degenerate instance: determinant degree collapsed")

@@ -24,7 +24,6 @@ from resultant_solve.offline import (
 from resultant_solve.problems import DegenerateDataError, get_problem
 from resultant_solve.recover import (
     DUPLICATE_TOL,
-    REAL_SYMMETRY_TOL,
     RESIDUAL_FAIL_THRESHOLD,
     SINGULAR_FLOOR,
     CandidateSolution,
@@ -33,6 +32,10 @@ from resultant_solve.recover import (
 )
 from resultant_solve.rootfind import DEFAULT_IM_TOL
 from resultant_solve.spectral import DEFAULT_TRIM_TOL, batched_eval, recover_coefficients
+
+# the library has no such check: it fills the lower half circle with the
+# exact conjugates of its samples, so its IFFT is real up to rounding
+REAL_SYMMETRY_TOL = 1e-10
 
 
 def evaluate_at(stack: np.ndarray, z) -> np.ndarray:
@@ -106,6 +109,19 @@ def cramer_ratios(
     return numer / np.where(singular, 1.0, denom), singular
 
 
+def template_pairs(template: SolverTemplate) -> dict:
+    """The recovery pairs of the template's deletion pair."""
+    problem = get_problem(template.problem_id)
+    return select_recovery_pairs(
+        problem.basis, template.deletion_pair[1], problem.n_vars, problem.hidden_index
+    )
+
+
+def rule_pairs(template: SolverTemplate) -> list:
+    """(deletion pair, recovery pairs) of the template's pair, then its alternates."""
+    return [(template.deletion_pair, template_pairs(template)), *_fallback_deletions(template)]
+
+
 def _fallback_deletions(template: SolverTemplate) -> list:
     """Row-major alternates to the template's deletion pair.
 
@@ -164,7 +180,7 @@ def _assemble_candidates(
         return []
     m_at_roots = evaluate_at(stack, hidden_values)
     values, singular = cramer_ratios(
-        m_at_roots, template.deletion_pair, template.recovery_pairs
+        m_at_roots, template.deletion_pair, template_pairs(template)
     )
     recovered = [w for w in range(problem.n_vars) if w != problem.hidden_index]
     coords = np.empty((len(hidden_values), problem.n_vars))

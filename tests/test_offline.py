@@ -284,6 +284,20 @@ class TestFivePointModularMatrix:
         assert five_point._SCATTER.sum(axis=0).max() * (prime - 1) < 2**63
 
 
+class TestConicModularMatrix:
+    @pytest.mark.parametrize("prime", SPECIALIZATION_PRIMES)
+    def test_int64_build_matches_python_int_oracle(self, prime):
+        # the build on Python ints, then one reduction; the worst draw
+        # doubles residues of p - 1 in the off-diagonal entries
+        draws, replay = np.random.default_rng(32), np.random.default_rng(32)
+        for rng, oracle_rng in [(_Worst(), _Worst())] + [(draws, replay)] * 20:
+            got = conic.modular_matrix(rng, prime)
+            c1, c2 = oracle_rng.integers(1, prime, size=(2, 3, 3)).astype(object)
+            rows = np.array([conic._conic_row(c1), conic._conic_row(c2)], dtype=object)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, conic.build(rows) % prime)
+
+
 class TestDetectDegree:
     def test_toy_diagonal(self):
         builder = _ToyBuilder(_diag_x_stack(3))
@@ -515,11 +529,14 @@ class TestTemplates:
         # the online stage replays these; a refactor of the offline stage
         # must not move them for any seed.  The recovery pairs, derived
         # from the problem, are those the earlier format wrote.
+        problem = get_problem(pid)
         for seed in range(5):
-            template = build_template(get_problem(pid), seed)
+            template = build_template(problem, seed)
             obj = json.loads(template_to_json(template))
             assert (obj["k"], obj["deletion"]) == (k, deletion)
-            assert template.recovery_pairs == recovery
+            assert select_recovery_pairs(
+                problem.basis, template.deletion_pair[1], problem.n_vars, problem.hidden_index
+            ) == recovery
 
     def test_json_holds_only_the_offline_decisions(self, conic_template):
         obj = json.loads(template_to_json(conic_template))
@@ -539,16 +556,15 @@ class TestTemplates:
     def test_pickle_carries_the_compiled_plan_not_the_problem(self, conic_template):
         # run_bench pickles the template to its workers, and a Problem may
         # hold closures: the template keeps only its id, ints and arrays
-        rules = conic_template.primary_rule, conic_template.alternate_rules
+        rules = conic_template.rules
         back = pickle.loads(pickle.dumps(conic_template))
-        assert back == conic_template
-        assert np.array_equal(back.primary_rule, rules[0])
-        assert all(np.array_equal(a, b) for a, b in zip(back.alternate_rules, rules[1]))
+        assert back == conic_template and "rules" in vars(back)
+        assert np.array_equal(back.rules, rules)
         assert not any(isinstance(v, Problem) for v in vars(back).values())
 
     def test_toy_serialization_round_trip(self, toy_template):
         back = template_from_json(template_to_json(toy_template))
-        assert back == toy_template and back.recovery_pairs == {1: (1, 2)}
+        assert back == toy_template and np.array_equal(back.rules, toy_template.rules)
 
     def test_invariant_validation(self):
         for problem_id, k, deletion in [
@@ -624,11 +640,11 @@ class TestSolutionCountOracles:
             det_poly = trim(recover_coefficients(samples))
             assert len(det_poly) - 1 == template.k
             hidden = roots(det_poly)
-            values, _ = cramer_at(evaluate_at(stack, hidden), template.primary_rule)
+            values, _ = cramer_at(evaluate_at(stack, hidden), template.rules[0])
             for root, recovered in zip(hidden, values):
                 point = [0j] * problem.n_vars
                 point[problem.hidden_index] = root
-                for w, val in zip(sorted(template.recovery_pairs), recovered):
+                for w, val in zip(template.recovered_columns, recovered):
                     point[w] = val
                 residual = np.max(np.abs(equation_oracles.values(pid, data, point)))
                 norm = np.linalg.norm(point)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import equation_oracles
+import reference_online
 from resultant_solve import recover
 from resultant_solve.matrixpoly import evaluate_at
-from resultant_solve.offline import build_template, cramer_rule, template_from_json
+from resultant_solve.offline import build_template, template_from_json
 from resultant_solve.poly import PolynomialSystem
 from resultant_solve.problems import five_point, generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
@@ -18,6 +19,13 @@ from resultant_solve.recover import (
 )
 from resultant_solve.rootfind import real_candidates, roots
 from resultant_solve.spectral import batched_eval, recover_coefficients, trim
+
+# the seed-7 templates of both problems and the two toy templates, with
+# their rule counts: N rows times the columns that leave every variable
+# recoverable (all of them but the toy's column 1, v, whose deletion leaves
+# v^2 and 1 with no ratio v)
+TEMPLATES = ("conic_template", "five_point_template", "toy_template", "toy3_template")
+RULE_COUNTS = dict(zip(TEMPLATES, (4 * 4, 10 * 10, 3 * 2, 4 * 4)))
 
 
 def _matrix_with_null_vector(rng, b):
@@ -47,6 +55,15 @@ def _reference_ratios(m, deletion_pair, recovery_pairs):
     return np.array(out)
 
 
+def _rule_pair(index):
+    """The deletion pair (i, j) a rule's gather index into [M | -M] encodes."""
+    size = index.shape[-1] + 1
+    rows, cols = np.divmod(index, 2 * size)
+    (i,) = np.setdiff1d(np.arange(size), rows)
+    (j,) = np.unique(cols[cols >= size]) - size
+    return int(i), int(j)
+
+
 def _real_hidden_roots(stack, template):
     samples = recover.det_complex(batched_eval(stack, template.k))
     poly = trim(recover_coefficients(samples).real)
@@ -54,54 +71,86 @@ def _real_hidden_roots(stack, template):
 
 
 class TestCramerRatio:
-    def test_identity(self):
+    # the toy template's first rule deletes row 0 and column 0 of a 3x3
+    # matrix and recovers its variable as the ratio of columns 1 and 2
+
+    def test_identity(self, toy_template):
         # the deletion submatrix is the identity, so the reduced solution is
         # the right-hand side -(a, b) and the ratio is a / b
         m = np.array([[1.0, 1.0, 1.0], [5.0, 1.0, 0.0], [7.0, 0.0, 1.0]])
-        values, singular = cramer_at(m[None].astype(complex), cramer_rule(3, (0, 0), {1: (1, 2)}))
+        values, singular = cramer_at(m[None].astype(complex), toy_template.rules[0])
         assert values[0, 0] == pytest.approx(5.0 / 7.0)
         assert not singular.any()
 
-    def test_diagonal(self):
+    def test_diagonal(self, toy_template):
         m = np.array([[1.0, 1.0, 1.0], [-2.0, 2.0, 0.0], [-8.0, 0.0, 4.0]])
-        values, _ = cramer_at(m[None].astype(complex), cramer_rule(3, (0, 0), {1: (1, 2)}))
+        values, _ = cramer_at(m[None].astype(complex), toy_template.rules[0])
         assert values[0, 0] == pytest.approx(0.5)  # (2/2) / (8/4)
 
-    def test_matches_linear_solve_oracle(self):
-        # the ratio of two components of the reduced system's solution
+    def test_matches_linear_solve_oracle(self, five_point_template):
+        # every rule's ratios are those of two components of its reduced
+        # system's solution
         rng = np.random.default_rng(0)
-        pairs = {0: (0, 3), 1: (7, 2), 3: (5, 6)}
-        m = rng.standard_normal((6, 9, 9)) + 1j * rng.standard_normal((6, 9, 9))
-        values, singular = cramer_at(m, cramer_rule(9, (4, 1), pairs))
-        assert values.shape == singular.shape == (6, 3) and not singular.any()
-        for got, mat in zip(values, m):
-            sub = np.delete(np.delete(mat, 4, axis=0), 1, axis=1)
-            y = np.linalg.solve(sub, -np.delete(mat[:, 1], 4))
-            for val, (j1, j2) in zip(got, pairs.values()):
-                want = y[j1 - (j1 > 1)] / y[j2 - (j2 > 1)]
-                assert abs(val - want) < 1e-10 * max(1.0, abs(want))
+        m = rng.standard_normal((3, 10, 10)) + 1j * rng.standard_normal((3, 10, 10))
+        rules = five_point_template.rules
+        for index, ((i, j), pairs) in zip(rules, reference_online.rule_pairs(five_point_template)):
+            values, singular = cramer_at(m, index)
+            assert values.shape == singular.shape == (3, 2) and not singular.any()
+            for got, mat in zip(values, m):
+                sub = np.delete(np.delete(mat, i, axis=0), j, axis=1)
+                y = np.linalg.solve(sub, -np.delete(mat[:, j], i))
+                for val, (j1, j2) in zip(got, pairs.values()):
+                    want = y[j1 - (j1 > j)] / y[j2 - (j2 > j)]
+                    assert abs(val - want) < 1e-9 * max(1.0, abs(want))
 
-    def test_real_stack_gives_real_values(self):
+    def test_real_stack_gives_real_values(self, toy_template):
         # real candidate roots take real LU determinants, so the recovered
         # coordinates carry no imaginary part to check
         m = np.random.default_rng(3).standard_normal((4, 3, 3))
-        index = cramer_rule(3, (0, 0), {1: (1, 2)})
+        index = toy_template.rules[0]
         values, singular = cramer_at(m, index)
         assert values.dtype == np.float64 and not singular.any()
         want, _ = cramer_at(m.astype(complex), index)
         assert np.allclose(values, want.real, rtol=1e-13, atol=0)
 
-    def test_singular_rejected(self):
+    def test_singular_rejected(self, toy_template):
         m = np.zeros((2, 3, 3), dtype=complex)
         m[1] = np.eye(3)
         m[1, 1:, 0] = 1.0
-        _, singular = cramer_at(m, cramer_rule(3, (0, 0), {1: (1, 2)}))
+        _, singular = cramer_at(m, toy_template.rules[0])
         assert singular.tolist() == [[True], [False]]
 
-    def test_column_range_checked(self):
-        for pairs in ({1: (1, 5)}, {1: (0, 2)}):  # out of range; deleted column
-            with pytest.raises(ValueError):
-                cramer_rule(3, (0, 0), pairs)
+    def test_rules_skip_the_deleted_row_and_column(self, request):
+        # rule (i, j) reads neither row i nor column j of M; column j enters
+        # only negated, as the right-hand side N + j of [M | -M]
+        for name in TEMPLATES:
+            template = request.getfixturevalue(name)
+            size = template.rules.shape[-1] + 1
+            for index, ((i, j), _) in zip(template.rules, reference_online.rule_pairs(template)):
+                rows, cols = np.divmod(index, 2 * size)
+                assert (rows == np.delete(np.arange(size), i)[:, None]).all()
+                assert j not in cols and set(np.unique(cols[cols >= size])) == {size + j}
+
+    @pytest.mark.parametrize("name", TEMPLATES)
+    def test_rules_match_the_reference_pairs(self, name, request):
+        # rule 0 is the template's deletion pair and rules 1.. every other
+        # pair whose column leaves each variable recoverable, row-major;
+        # each rule gives bitwise the reference's ratios for its pair
+        template = request.getfixturevalue(name)
+        expected = reference_online.rule_pairs(template)
+        rules = template.rules
+        assert len(rules) == len(expected) == RULE_COUNTS[name]
+        order = [_rule_pair(index) for index in rules]
+        assert order == [pair for pair, _ in expected]
+        assert order[0] == template.deletion_pair and order[1:] == sorted(order[1:])
+        size = rules.shape[-1] + 1
+        m = np.random.default_rng(8).standard_normal((5, size, size))
+        m[0] = 1.0  # every minor vanishes: singular under every rule
+        for index, (pair, pairs) in zip(rules, expected):
+            values, singular = cramer_at(m, index)
+            want, want_singular = reference_online.cramer_ratios(m, pair, pairs)
+            assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+            assert np.array_equal(singular, want_singular) and singular[0].all()
 
     @pytest.mark.parametrize("pid", ["conic", "five_point"])
     def test_stack_matches_per_root_reference(self, pid, request):
@@ -115,13 +164,39 @@ class TestCramerRatio:
             stack = problem.build(problem.original_equations(data))
             hidden = _real_hidden_roots(stack, template)
             m_at_roots = evaluate_at(stack, hidden)
-            values, singular = cramer_at(m_at_roots, template.primary_rule)
+            values, singular = cramer_at(m_at_roots, template.rules[0])
             assert not singular.any()
+            pairs = reference_online.template_pairs(template)
             for got, m in zip(values, m_at_roots):
-                want = _reference_ratios(m, template.deletion_pair, template.recovery_pairs)
+                want = _reference_ratios(m, template.deletion_pair, pairs)
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
                 checked += 1
         assert checked >= 150
+
+
+class TestHiddenRoots:
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_half_circle_ifft_is_real(self, pid, request, monkeypatch):
+        # the lower half circle holds the exact conjugates of the upper
+        # half's dets, so the IFFT of the samples is real up to rounding on
+        # the first 300 instances of the seed-1 benchmark pool: no
+        # real-coefficient symmetry check has anything to reject
+        template = request.getfixturevalue(f"{pid}_template")
+        problem = get_problem(pid)
+        coefficients = []
+        real = recover.recover_coefficients
+
+        def spy(samples):
+            coefficients.append(real(samples))
+            return coefficients[-1]
+
+        monkeypatch.setattr(recover, "recover_coefficients", spy)
+        for i in range(300):
+            data, _ = problem.generate_instance(np.random.default_rng([1, i]))
+            recover._hidden_roots(problem.build(problem.original_equations(data)), template)
+        assert len(coefficients) == 300
+        for raw in coefficients:
+            assert np.abs(raw.imag).max() <= 1e-14 * np.abs(raw).max()
 
 
 class TestRecoverVariable:
@@ -129,14 +204,14 @@ class TestRecoverVariable:
         # null vector (9, 3, 1) encodes v = 3
         rng = np.random.default_rng(1)
         m = _matrix_with_null_vector(rng, np.array([9.0, 3.0, 1.0]))
-        values, _ = cramer_at(m[None], toy_template.primary_rule)
+        values, _ = cramer_at(m[None], toy_template.rules[0])
         assert values[0, 0] == pytest.approx(3.0, abs=1e-10)
 
     def test_zero_coordinate(self, toy_template):
         # null vector (0, 0, 1) encodes v = 0: numerator determinant vanishes
         rng = np.random.default_rng(2)
         m = _matrix_with_null_vector(rng, np.array([0.0, 0.0, 1.0]))
-        values, _ = cramer_at(m[None], toy_template.primary_rule)
+        values, _ = cramer_at(m[None], toy_template.rules[0])
         assert values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_conic_instance_coordinates(self, conic_template):
@@ -144,7 +219,7 @@ class TestRecoverVariable:
         data, gts = problem.generate_instance(np.random.default_rng(3))
         stack = problem.build(problem.original_equations(data))
         m_at_roots = evaluate_at(stack, [gt[1] for gt in gts])  # y is hidden
-        values, singular = cramer_at(m_at_roots, conic_template.primary_rule)
+        values, singular = cramer_at(m_at_roots, conic_template.rules[0])
         assert not singular.any()
         for got, gt in zip(values[:, 0], gts):
             assert abs(got - gt[0]) < 1e-8
@@ -195,8 +270,7 @@ class TestBackSubstitution:
         m1 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
         template = toy_template
         first, second = ((0, 2), {1: (0, 1)}), ((1, 0), {1: (1, 2)})
-        for rule, (pair, pairs) in zip(template.alternate_rules, (first, second)):
-            assert np.array_equal(rule, cramer_rule(3, pair, pairs))
+        assert reference_online.rule_pairs(template)[1:3] == [first, second]
         shapes = self._spy_dets(monkeypatch)
         found, m_at_roots = self._back_substitute(
             np.stack([m0, m1 - m0]), template, np.array([0.0, 1.0])
@@ -219,7 +293,7 @@ class TestBackSubstitution:
         )
         assert found.shape == (0, 2) and m_at_roots.shape == (0, 3, 3)
         assert recover._residuals(m_at_roots, template, found, (0, 1, 2)).shape == (0,)
-        assert shapes == [(2, 2, 2, 2)] * (1 + len(template.alternate_rules))
+        assert shapes == [(2, 2, 2, 2)] * len(template.rules)
 
     @staticmethod
     def _fake_ratios(monkeypatch, template, primary, alternate):
@@ -227,13 +301,13 @@ class TestBackSubstitution:
 
         def fake(m_at_roots, index):
             calls.append(index)
-            return primary if index is template.primary_rule else alternate
+            return primary if np.array_equal(index, template.rules[0]) else alternate
 
         monkeypatch.setattr(recover, "cramer_at", fake)
         return calls
 
     def _three_var_candidates(self, template):
-        assert template.recovery_pairs == {1: (0, 2), 2: (1, 2)}
+        assert reference_online.template_pairs(template) == {1: (0, 2), 2: (1, 2)}
         coords, m_at_roots = self._back_substitute(np.eye(4)[None], template, np.array([0.5]))
         return coords, recover._residuals(m_at_roots, template, coords, (0, 1, 2, 3))
 
@@ -246,7 +320,7 @@ class TestBackSubstitution:
         )
         found, _ = self._three_var_candidates(toy3_template)
         assert found.tolist() == [[0.5, 2.0, 3.0]]
-        assert calls[0] is toy3_template.primary_rule and len(calls) == 2
+        assert np.array_equal(calls[0], toy3_template.rules[0]) and len(calls) == 2
 
     def test_singular_under_every_pair_is_discarded(self, monkeypatch, toy3_template):
         calls = self._fake_ratios(
@@ -257,20 +331,11 @@ class TestBackSubstitution:
         )
         found, residuals = self._three_var_candidates(toy3_template)
         assert found.shape == (0, 3) and residuals.shape == (0,)
-        alternates = toy3_template.alternate_rules
-        assert len(alternates) > 1
-        # every alternate was tried, in order
-        assert calls[0] is toy3_template.primary_rule and len(calls) == 1 + len(alternates)
-        assert all(call is rule for call, rule in zip(calls[1:], alternates))
-
-
-    def test_generic_solves_compile_no_alternates(self):
-        # the alternates are compiled the first time a root needs them
-        problem = get_problem("five_point")
-        template = build_template(problem, 7)
-        for seed in range(5):
-            solve_online(template, generate_instance("five_point", seed)[0])
-        assert "primary_rule" in vars(template) and "alternate_rules" not in vars(template)
+        rules = toy3_template.rules
+        assert len(rules) > 2
+        # every rule was tried, in order
+        assert len(calls) == len(rules)
+        assert all(np.array_equal(call, rule) for call, rule in zip(calls, rules))
 
 
 class TestDeduplicate:
@@ -386,7 +451,7 @@ class TestSolveOnline:
         """
         problem = get_problem(template.problem_id)
         basis = [list(e) for e in problem.basis]
-        n, pairs = len(basis), template.recovery_pairs
+        n, pairs = len(basis), reference_online.template_pairs(template)
         if reverse_basis:
             basis = basis[::-1]
             pairs = {w: (n - 1 - a, n - 1 - b) for w, (a, b) in pairs.items()}
@@ -410,7 +475,7 @@ class TestSolveOnline:
         # columns of a basis other than the problem's
         template = request.getfixturevalue(f"{pid}_template")
         loaded = template_from_json(self._earlier_format(template, reverse_basis))
-        assert loaded == template and loaded.recovery_pairs == template.recovery_pairs
+        assert loaded == template and np.array_equal(loaded.rules, template.rules)
         for seed in range(20):
             data, _ = generate_instance(pid, [41, seed])
             new, old = solve_online(template, data), solve_online(loaded, data)

@@ -94,7 +94,7 @@ def test_conics_through_the_origin_reach_the_alternates(conic_template, monkeypa
     cramer_at = recover.cramer_at
 
     def spy(m_at_roots, index):
-        primary.append(index is conic_template.primary_rule)
+        primary.append(np.array_equal(index, conic_template.rules[0]))
         return cramer_at(m_at_roots, index)
 
     monkeypatch.setattr(recover, "cramer_at", spy)
