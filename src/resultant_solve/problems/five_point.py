@@ -10,8 +10,10 @@ monomial basis (x^3, y^3, x^2 y, x y^2, x^2, y^2, x y, x, y, 1).
 Each cubic is written first as 64 trilinear forms, one per ordered
 triple of the monomials (x, y, z, 1), and then scattered to the 20 cubic
 monomials by the 0/1 table ``_SCATTER``.  Online, both steps run in
-float64.  The offline Z_p specialization computes the forms exactly in
-Python ints, reduces them mod p and scatters the residues in ``int64``.
+float64.  The offline Z_p specialization runs the same formula in
+``int64`` residues mod p, reducing every product of two residues before
+it is summed, and scatters the residues in ``int64``; no step needs
+Python ints.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ _SCATTER = _scatter_matrix()
 _LEVI_CIVITA = _levi_civita()
 
 
-def _triple_forms(e_basis: np.ndarray) -> np.ndarray:
+def _triple_forms(e_basis: np.ndarray, p: int | None = None) -> np.ndarray:
     """The ten cubic constraints as (10, 64) trilinear forms, one per MON1 triple.
 
     ``e_basis`` is (4, 3, 3): E_1..E_4, the coefficients of (x, y, z, 1)
@@ -88,21 +90,41 @@ def _triple_forms(e_basis: np.ndarray) -> np.ndarray:
     E_a[0] . (E_b[1] x E_c[2]); rows 1..9 are the entries (row-major) of
     2 E E^T E - tr(E E^T) E, whose triple form is
     2 E_a E_b^T E_c - tr(E_a E_b^T) E_c.  Column 16a + 4b + c holds
-    triple (a, b, c), the row order of ``_SCATTER``.  Works on float
-    arrays and on exact ``object`` arrays of Python ints alike.
+    triple (a, b, c), the row order of ``_SCATTER``.
+
+    One formula serves both rings through its two primitives, the
+    elementwise product ``mul`` and the contraction ``dot``.  With
+    ``p=None`` they are ``np.multiply`` and ``np.matmul``, for float
+    arrays (online) and exact ``object`` arrays of Python ints alike.
+    With a prime ``p`` and ``int64`` residues in [0, p), every product of
+    two residues is reduced mod p before anything is summed: a product is
+    below p^2 < 2^62 for a 31-bit p, and a contraction adds at most 9
+    reduced terms, so nothing overflows ``int64``.  The Levi-Civita
+    contraction only picks single entries with a sign, so it stays in
+    (-p, p) and numpy's floor ``%`` brings its products back to [0, p).
+    The result is in (-p, 2p); reduce it mod p.
     """
+    if p is None:
+        mul, dot = np.multiply, np.matmul
+    else:
+        def mul(a, b):
+            return a * b % p
+
+        def dot(a, b):
+            return (a[..., :, None] * b % p).sum(-2) % p
+
     e = np.asarray(e_basis)
     rows = e.reshape(12, 3)  # row r of E_a at 3a + r
     flat = e.reshape(4, 9)
     # E_b[1] (x) E_c[2] for every (b, c), contracted to cross products
-    outer = (e[:, None, 1, :, None] * e[None, :, 2, None, :]).reshape(16, 9)
-    det = (e[:, 0] @ _LEVI_CIVITA) @ outer.T  # [a, 4b + c]
+    outer = mul(e[:, None, 1, :, None], e[None, :, 2, None, :]).reshape(16, 9)
+    det = dot(e[:, 0] @ _LEVI_CIVITA, outer.T)  # [a, 4b + c]
     # (E_a E_b^T)[r, s] at [12a + 4r + b, s], then times E_c[s, col]
-    gram = (rows @ rows.T).reshape(48, 3)
-    eet_e = (gram @ e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
+    gram = dot(rows, rows.T).reshape(48, 3)
+    eet_e = dot(gram, e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
     eet_e = eet_e.transpose(1, 4, 0, 2, 3).reshape(9, 64)  # [(r, col), triple]
-    trace = flat @ flat.T  # tr(E_a E_b^T)
-    trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
+    trace = dot(flat, flat.T)  # tr(E_a E_b^T)
+    trace_e = mul(flat.T[:, None, :], trace.reshape(1, 16, 1)).reshape(9, 64)
     return np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
 
 
@@ -162,14 +184,13 @@ def build(cubics: np.ndarray) -> np.ndarray:
 def modular_matrix(rng: np.random.Generator, p: int) -> np.ndarray:
     """M(z) over Z_p from random residues for the 36 E-basis entries, in ``int64``.
 
-    The triple forms are exact Python ints, reduced mod p; the scatter
-    then runs in ``int64``, where each MON3 slot sums at most
-    ``_SCATTER.sum(axis=0).max()`` (6) residues below p: below 2^34 for
-    a 31-bit p, far inside ``int64``.
+    The triple forms are computed in ``int64`` residues mod p (see
+    ``_triple_forms`` for the headroom); the scatter then sums, per MON3
+    slot, at most ``_SCATTER.sum(axis=0).max()`` (6) residues below p:
+    below 2^34 for a 31-bit p, far inside ``int64``.
     """
-    e_basis = rng.integers(1, p, size=(4, 3, 3)).astype(object)
-    forms = (_triple_forms(e_basis) % p).astype(np.int64)
-    return build(forms @ _SCATTER % p)
+    e_basis = rng.integers(1, p, size=(4, 3, 3))
+    return build(_triple_forms(e_basis, p) % p @ _SCATTER % p)
 
 
 def original_equations(data: FivePointData) -> np.ndarray:

@@ -4,11 +4,16 @@ They share no code with the solver's equation path. ``five_point`` forms
 E = x E1 + y E2 + z E3 + E4 and evaluates det E and 2 E E^T E - tr(E E^T) E
 with plain 3x3 arithmetic; ``conic`` evaluates [x y 1] C [x y 1]^T.  Both
 work on float, complex and exact Python-int inputs.
+
+``five_point_constraint_vectors`` is the exception: a frozen copy of the
+library's float trilinear-form expansion, before it took a residue ring,
+that imports only the two constant 0/1 tables.  The library's float
+cubics must stay bitwise equal to it, which a value oracle cannot check.
 """
 
 import numpy as np
 
-from resultant_solve.problems.five_point import _nullspace_basis
+from resultant_solve.problems.five_point import _LEVI_CIVITA, _SCATTER, _nullspace_basis
 
 
 def five_point_values(e_basis, point) -> np.ndarray:
@@ -23,6 +28,28 @@ def five_point_values(e_basis, point) -> np.ndarray:
     eet = e @ e.T
     trace = eet[0, 0] + eet[1, 1] + eet[2, 2]
     return np.concatenate([[det], (2 * eet @ e - trace * e).ravel()])
+
+
+def five_point_triple_forms(e_basis: np.ndarray) -> np.ndarray:
+    """The (10, 64) trilinear forms of the ten cubics, kept verbatim."""
+    e = np.asarray(e_basis)
+    rows = e.reshape(12, 3)  # row r of E_a at 3a + r
+    flat = e.reshape(4, 9)
+    # E_b[1] (x) E_c[2] for every (b, c), contracted to cross products
+    outer = (e[:, None, 1, :, None] * e[None, :, 2, None, :]).reshape(16, 9)
+    det = (e[:, 0] @ _LEVI_CIVITA) @ outer.T  # [a, 4b + c]
+    # (E_a E_b^T)[r, s] at [12a + 4r + b, s], then times E_c[s, col]
+    gram = (rows @ rows.T).reshape(48, 3)
+    eet_e = (gram @ e.transpose(1, 0, 2).reshape(3, 12)).reshape(4, 3, 4, 4, 3)
+    eet_e = eet_e.transpose(1, 4, 0, 2, 3).reshape(9, 64)  # [(r, col), triple]
+    trace = flat @ flat.T  # tr(E_a E_b^T)
+    trace_e = (flat.T[:, None, :] * trace.reshape(1, 16, 1)).reshape(9, 64)
+    return np.concatenate([det.reshape(1, 64), 2 * eet_e - trace_e])
+
+
+def five_point_constraint_vectors(e_basis: np.ndarray) -> np.ndarray:
+    """The ten cubics as a (10, 20) matrix over MON3, the float path kept verbatim."""
+    return five_point_triple_forms(e_basis) @ _SCATTER
 
 
 def conic_values(data, point) -> np.ndarray:

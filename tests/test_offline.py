@@ -283,6 +283,21 @@ class TestFivePointModularMatrix:
         # the int64 scatter sums at most this many residues below p per slot
         assert five_point._SCATTER.sum(axis=0).max() * (prime - 1) < 2**63
 
+    @pytest.mark.parametrize("prime", SPECIALIZATION_PRIMES)
+    def test_residue_triple_forms_match_python_ints(self, prime):
+        # every product of two residues is reduced before a contraction
+        # sums it; a missed reduction overflows int64 without a warning
+        rng = np.random.default_rng(33)
+        alternating = np.where(np.arange(36).reshape(4, 3, 3) % 2, 1, prime - 1)
+        extremes = [np.full((4, 3, 3), prime - 1), alternating, np.ones((4, 3, 3), dtype=np.int64)]
+        for e_basis in extremes + [rng.integers(1, prime, size=(4, 3, 3)) for _ in range(50)]:
+            got = five_point._triple_forms(e_basis, prime) % prime
+            assert got.dtype == np.int64
+            want = five_point._triple_forms(e_basis.astype(object)) % prime
+            np.testing.assert_array_equal(got, want)
+        # a product of two residues, and a contraction of 9 reduced ones
+        assert (prime - 1) ** 2 < 2**63 and 9 * (prime - 1) < 2**63
+
 
 class TestConicModularMatrix:
     @pytest.mark.parametrize("prime", SPECIALIZATION_PRIMES)

@@ -205,6 +205,18 @@ class TestFivePoint:
             want = equation_oracles.five_point_values(e_basis, pt)
             assert list(matrix @ monomials) == list(want)
 
+    def test_float_cubics_match_frozen_copy_bitwise(self):
+        # the online cubics of the first 300 seed-1 pool instances, in both
+        # frames, bit for bit those of the float expansion kept in the oracles
+        mix = five_point.frame_mix()
+        for i in range(300):
+            data, _ = five_point.generate_instance(np.random.default_rng([1, i]))
+            e_basis = five_point._nullspace_basis(data)
+            mixed = (mix @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
+            for e in (e_basis, mixed):
+                got = five_point.constraint_vectors(e)
+                assert np.array_equal(got, equation_oracles.five_point_constraint_vectors(e))
+
     def test_ground_truth_satisfies_matrix_form(self):
         problem = get_problem("five_point")
         data, gts = problem.generate_instance(np.random.default_rng(1))

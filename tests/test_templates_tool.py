@@ -1,5 +1,6 @@
 """tools/templates.py: one line per seed, stable across runs."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -104,3 +105,19 @@ def test_golden_lines(pid, capsys):
     templates = _load()
     assert templates.main(["--problem", pid, "--seeds", "0..4"]) == 0
     assert capsys.readouterr().out.splitlines() == GOLDEN[pid]
+
+
+# sha256 of the whole tools/templates.py stdout for seeds 0..49: the golden
+# lines above show which field moved, these pin every seed of the range
+RANGE_SHA256 = {
+    "five_point": "fa2310f7f0ee101ba003683e8afb6cc62c1da22b5d6213f22bb64a50046f95af",
+    "conic": "cf7a73a6a34eb0c6e5c804d761ebafd1252a1de12dc81dda13462fe901614133",
+}
+
+
+@pytest.mark.parametrize("pid", sorted(RANGE_SHA256))
+def test_seed_range_hash(pid, capsys):
+    templates = _load()
+    assert templates.main(["--problem", pid, "--seeds", "0..49"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RANGE_SHA256[pid]
