@@ -36,9 +36,15 @@ points fix it.  Every matrix of the batch is evaluated at the points
 0..P-1, P the largest D + 1, in ``int64``; one Gaussian elimination
 without division in its loop runs over all those matrices at once, each
 reduced modulo its own prime; and Newton divided differences give every
-polynomial's coefficients in O(P^2).  Both specializations' first draws
-share one call, and so do the two minors of each candidate deletion
-pair.  Residue products must fit in ``int64``, so p is limited to
+polynomial's coefficients in O(P^2).  A minor enters a batch in bordered
+form (``_bordered``): the N x N stack with row i and column j replaced by
+unit vectors, whose determinant is the minor up to sign, which the GCD
+test does not see.  Its degree sums never exceed the full stack's, so it
+does not raise P.  The first scanned pair's minors ride in
+``specialize``'s own call, beside the determinants: the first draws of
+both primes are one ``det_modular`` call of four stacks, and a template
+build whose first pair passes, as it does on generic data, makes no
+other.  Residue products must fit in ``int64``, so p is limited to
 (p-1)^2 < 2^63; the 31-bit primes are far inside.
 """
 
@@ -160,16 +166,18 @@ def _zp_newton_interpolate(values: np.ndarray, primes: np.ndarray) -> list:
     return [_zp_trim(row) for row in poly.tolist()]
 
 
-def _degree_bound(coeffs: np.ndarray) -> int:
-    """A bound on deg det of an ``int64`` (d+1, N, N) stack, from its entry degrees.
+def _degree_bound(coeffs: np.ndarray) -> np.ndarray:
+    """Bounds on deg det of ``int64`` (..., d+1, N, N) stacks, from their entry degrees.
 
     Each term of the Leibniz expansion takes one entry from every column
     (and every row), so the determinant's degree is at most the sum over
     columns of their largest entry degree, and likewise over rows.  Zero
-    entries count as degree 0, which only loosens the bound.
+    entries count as degree 0, which only loosens the bound.  One bound
+    per stack, in the shape of the leading axes.
     """
-    degrees = (np.arange(len(coeffs))[:, None, None] * (coeffs != 0)).max(axis=0)
-    return int(min(degrees.max(axis=0).sum(), degrees.max(axis=1).sum()))
+    slices = np.arange(coeffs.shape[-3])[:, None, None]
+    degrees = (slices * (coeffs != 0)).max(axis=-3)
+    return np.minimum(degrees.max(axis=-2).sum(axis=-1), degrees.max(axis=-1).sum(axis=-1))
 
 
 def det_modular(stacks: list, primes: list) -> list:
@@ -178,30 +186,35 @@ def det_modular(stacks: list, primes: list) -> list:
     Each of ``stacks`` is a (d+1, N, N) coefficient stack, the layout
     ``build`` returns, of residues in [0, p) for its own prime p in
     ``primes``, as ``int64`` or as an ``object`` array of Python ints; all
-    share N, not d.  Mirrors the online pipeline structurally.  A stack's
+    must share N, not d, and a bordered minor (``_bordered``) is one more
+    N x N stack.  Mirrors the online pipeline structurally.  A stack's
     determinant has degree at most D, the smaller of the sums of its column
-    and its row degrees, read from the non-zero entries (``_degree_bound``;
-    all-zero top slices, as a minor may have, add nothing), so D + 1 samples
-    fix it.  The batch evaluates every stack at the P = max(D + 1) points
-    0..P-1 in one matrix Horner pass, takes all the scalar determinants in
-    one division-free elimination, each matrix modulo its own prime, and
-    interpolates every polynomial by Newton in O(P^2).  P must not exceed
-    any prime, and the work is in ``int64``, so each p must keep (p-1)^2
-    within ``int64``.
+    and its row degrees, read from the non-zero entries (``_degree_bound``,
+    one pass over the padded batch; all-zero top slices add nothing), so
+    D + 1 samples fix it.  The batch evaluates every stack at the
+    P = max(D + 1) points 0..P-1 in one matrix Horner pass, takes all the
+    scalar determinants in one division-free elimination, each matrix
+    modulo its own prime, and interpolates every polynomial by Newton in
+    O(P^2).  P must not exceed any prime, and the work is in ``int64``, so
+    each p must keep (p-1)^2 within ``int64``.  An empty batch gives [].
     """
     if len(stacks) != len(primes):
         raise ValueError(f"{len(stacks)} stacks but {len(primes)} primes")
+    if not stacks:
+        return []
+    sizes = sorted({stack.shape[1:] for stack in stacks})
+    if len(sizes) != 1:
+        raise ValueError(f"stacks of one batch must share N, got sizes {sizes}")
     for p in primes:
         if (p - 1) ** 2 > np.iinfo(np.int64).max:
             raise ValueError(f"prime {p} too large for int64 residue products")
-    coeffs = [stack.astype(np.int64) for stack in stacks]
-    count = max(map(_degree_bound, coeffs)) + 1
+    # zero top slices pad every stack to the longest; they change no value
+    padded = np.zeros((len(stacks), max(map(len, stacks))) + sizes[0], np.int64)
+    for s, stack in enumerate(stacks):
+        padded[s, : len(stack)] = stack
+    count = int(_degree_bound(padded).max()) + 1
     if count > min(primes):
         raise ValueError("field too small for interpolation")
-    # zero top slices pad every stack to the longest; they change no value
-    padded = np.zeros((len(coeffs), max(map(len, coeffs))) + coeffs[0].shape[1:], np.int64)
-    for s, stack in enumerate(coeffs):
-        padded[s, : len(stack)] = stack
     moduli = np.array(primes, dtype=np.int64)
     p = moduli[:, None, None, None]
     points = np.arange(count, dtype=np.int64)[:, None, None]
@@ -213,9 +226,19 @@ def det_modular(stacks: list, primes: list) -> list:
     return _zp_newton_interpolate(np.array(dets, dtype=np.int64).reshape(-1, count), moduli)
 
 
-def _minor(stack: np.ndarray, i: int, j: int) -> np.ndarray:
-    """The stack with row i and column j deleted."""
-    return np.delete(np.delete(stack, i, axis=1), j, axis=2)
+def _bordered(stack: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The stack with row i and column j zeroed and a 1 at [0, i, j].
+
+    Expanding its determinant along row i leaves (-1)^(i+j) times the
+    (i, j) minor, in an N x N stack that batches with the full ones.
+    Zeroing column j too gives it the minor's degree bound, which never
+    exceeds the stack's.
+    """
+    bordered = stack.copy()
+    bordered[:, i] = 0
+    bordered[:, :, j] = 0
+    bordered[0, i, j] = 1
+    return bordered
 
 
 # --- template construction ---------------------------------------------------
@@ -341,34 +364,60 @@ def template_from_json(text: str) -> SolverTemplate:
 
 
 class Specialization(NamedTuple):
-    """One exact instance of a problem matrix over Z_p."""
+    """One exact instance of a problem matrix over Z_p, with minors taken beside it."""
 
     stack: np.ndarray  # (d+1, N, N) int64 residues in [0, p)
     p: int
     det: list  # its determinant in Z_p[x], ascending, non-constant
+    # (i, j) -> the (i, j) minor of this stack up to sign, as det_modular
+    # gives it for _bordered(stack, i, j); specialize fills the first pair
+    minors: dict
+
+
+def _scan_order(basis):
+    """Candidate deletion pairs (i, j), in the order the coprimality test tries them.
+
+    Columns are scanned by ascending total degree of their basis monomial
+    (rows ascending within a column): the deleted column's monomial divides
+    the Cramer system, and the constant monomial never vanishes at a
+    solution, so low-degree columns give far better-conditioned submatrices
+    at the roots than an index-order scan.
+    """
+    n = len(basis)
+    for j in sorted(range(n), key=lambda j: (sum(basis[j]), j)):
+        for i in range(n):
+            yield i, j
 
 
 def specialize(problem, rng_seed: int) -> list:
     """Two independent specializations, one per prime in SPECIALIZATION_PRIMES.
 
     Each prime draws fresh residues through ``problem.modular_matrix`` from
-    its own rng until the determinant is non-constant (at most 20 draws);
-    the first draws of both primes share one ``det_modular`` call.
+    its own rng until the determinant is non-constant (at most 20 draws).
+    Every draw's determinant shares one ``det_modular`` call with the
+    bordered minor of the first pair in ``_scan_order``, which the
+    specialization carries in ``minors``: the first draws of both primes
+    are one call of four stacks, and each redraw is one call of two.
     """
     children = np.random.SeedSequence(rng_seed).spawn(2)
     rngs = [np.random.default_rng(child) for child in children]
+    first = next(_scan_order(problem.basis))
     stacks = [problem.modular_matrix(rng, p) for rng, p in zip(rngs, SPECIALIZATION_PRIMES)]
-    dets = det_modular(stacks, SPECIALIZATION_PRIMES)
+    polys = det_modular(
+        stacks + [_bordered(stack, *first) for stack in stacks], SPECIALIZATION_PRIMES * 2
+    )
     specializations = []
-    for rng, prime, stack, full_det in zip(rngs, SPECIALIZATION_PRIMES, stacks, dets):
+    for rng, prime, stack, full_det, minor in zip(
+        rngs, SPECIALIZATION_PRIMES, stacks, polys[:2], polys[2:]
+    ):
         for _ in range(19):  # redraws: at most 20 draws in all
             if len(full_det) >= 2:
                 break
             stack = problem.modular_matrix(rng, prime)
-            (full_det,) = det_modular([stack], [prime])
+            full_det, minor = det_modular([stack, _bordered(stack, *first)], [prime] * 2)
         if len(full_det) < 2:
             raise TemplateError("degenerate template: modular determinant is constant")
-        specializations.append(Specialization(stack, prime, full_det))
+        specializations.append(Specialization(stack, prime, full_det, {first: minor}))
     return specializations
 
 
@@ -388,29 +437,24 @@ def detect_degree(specializations: list) -> int:
 
 
 def find_deletion_pair(basis, specializations: list) -> tuple[int, int]:
-    """First row/column pair in scan order passing the coprimality test.
+    """First row/column pair in ``_scan_order`` passing the coprimality test.
 
     A pair is accepted when gcd(det M, det minor) is constant in every
-    specialization; the pair's minors, one per specialization, share one
+    specialization.  A minor the specializations carry (the first pair's,
+    from ``specialize``) is read; any later pair's, one per
+    specialization, are bordered (``_bordered``) and share one
     ``det_modular`` call.
-
-    Columns are scanned by ascending total degree of their basis monomial
-    (rows ascending within a column): the deleted column's monomial divides
-    the Cramer system, and the constant monomial never vanishes at a
-    solution, so low-degree columns give far better-conditioned submatrices
-    at the roots than an index-order scan.
     """
-    n = len(basis)
-    columns = sorted(range(n), key=lambda j: (sum(basis[j]), j))
     primes = [s.p for s in specializations]
-    for j in columns:
-        for i in range(n):
-            minors = det_modular([_minor(s.stack, i, j) for s in specializations], primes)
-            if all(
-                minor and len(_zp_gcd(s.det, minor, s.p)) == 1
-                for s, minor in zip(specializations, minors)
-            ):
-                return (i, j)
+    for pair in _scan_order(basis):
+        minors = [s.minors.get(pair) for s in specializations]
+        if None in minors:
+            minors = det_modular([_bordered(s.stack, *pair) for s in specializations], primes)
+        if all(
+            minor and len(_zp_gcd(s.det, minor, s.p)) == 1
+            for s, minor in zip(specializations, minors)
+        ):
+            return pair
     raise TemplateError("no valid deletion pair")
 
 

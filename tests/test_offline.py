@@ -7,12 +7,13 @@ import pytest
 
 import equation_oracles
 from exact_oracles import det_poly_exact, zp_det_poly
+from resultant_solve import offline
 from resultant_solve.offline import (
     SPECIALIZATION_PRIMES,
     SolverTemplate,
     TemplateError,
+    _bordered,
     _degree_bound,
-    _minor,
     _unit_exponent,
     _zp_gcd,
     build_template,
@@ -154,6 +155,16 @@ class TestModularArithmetic:
         big = 2**61 - 1  # a Mersenne prime: (p-1)^2 overflows int64
         with pytest.raises(ValueError, match="too large"):
             det_modular([np.ones((2, 2, 2), dtype=object)], [big])
+
+    def test_batch_of_mixed_sizes_rejected(self):
+        # one elimination runs over the whole batch, so N must be shared
+        prime = SPECIALIZATION_PRIMES[0]
+        stacks = [np.ones((2, 2, 2), dtype=np.int64), np.ones((2, 3, 3), dtype=np.int64)]
+        with pytest.raises(ValueError, match="must share N"):
+            det_modular(stacks, [prime, prime])
+
+    def test_empty_batch(self):
+        assert det_modular([], []) == []
 
 
 def _graded_stack(rng, n, d, high):
@@ -412,7 +423,7 @@ class TestFindDeletionPair:
         prime = SPECIALIZATION_PRIMES[0]
         mm = builder.modular_matrix(None, prime)
         full = det_modular([mm], [prime])[0]  # x^2 - 1
-        minor = det_modular([_minor(mm, 0, 0)], [prime])[0]  # x
+        minor = det_modular([_bordered(mm, 0, 0)], [prime])[0]  # x
         assert len(_zp_gcd(full, minor, prime)) == 1
 
     def test_shared_factor_rejected(self):
@@ -451,7 +462,7 @@ class TestFindDeletionPair:
         )
 
         def coprime(i, j):
-            minor = det_modular([_minor(mm, i, j)], [prime])[0]
+            minor = det_modular([_bordered(mm, i, j)], [prime])[0]
             return bool(minor) and len(_zp_gcd(full, minor, prime)) == 1
 
         full = det_modular([mm], [prime])[0]
@@ -464,6 +475,114 @@ class TestFindDeletionPair:
     def test_deterministic(self):
         problem = get_problem("conic")
         assert _deletion(problem, 3) == _deletion(problem, 3)
+
+
+class TestBordered:
+    """A bordered stack's determinant is its (i, j) minor times (-1)^(i+j)."""
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_every_pair_matches_the_deleted_minor(self, pid):
+        for spec in specialize(get_problem(pid), 0):
+            n = spec.stack.shape[1]
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            bordered = [_bordered(spec.stack, i, j) for i, j in pairs]
+            got = det_modular(bordered, [spec.p] * len(pairs))
+            for (i, j), stack, poly in zip(pairs, bordered, got):
+                minor = np.delete(np.delete(spec.stack, i, axis=1), j, axis=2)
+                want = zp_det_poly(minor.astype(object), spec.p)
+                if (i + j) % 2:
+                    want = [spec.p - c for c in want]
+                assert poly == want
+                # so a bordered minor never raises its batch's sample count
+                assert _degree_bound(stack) == _degree_bound(minor)
+                assert _degree_bound(stack) <= _degree_bound(spec.stack)
+
+
+def _reference_deletion_pair(basis, specializations):
+    """The deletion-pair scan on (N-1) x (N-1) minors cut by ``np.delete``."""
+    n = len(basis)
+    columns = sorted(range(n), key=lambda j: (sum(basis[j]), j))
+    primes = [s.p for s in specializations]
+    for j in columns:
+        for i in range(n):
+            minors = det_modular(
+                [np.delete(np.delete(s.stack, i, axis=1), j, axis=2) for s in specializations],
+                primes,
+            )
+            if all(
+                minor and len(_zp_gcd(s.det, minor, s.p)) == 1
+                for s, minor in zip(specializations, minors)
+            ):
+                return (i, j)
+    raise TemplateError("no valid deletion pair")
+
+
+class TestDecisionsMatchTheDeletedMinorScan:
+    """Bordered minors, carried or computed late, pick the reference's pair."""
+
+    def test_first_scanned_pair_fails(self):
+        # column 0 is (x - 1) times constants, so det and every minor that
+        # keeps column 0 share x - 1; the scan reaches column 0 last
+        rng = np.random.default_rng(6)
+        stack = rng.integers(1, 9, size=(2, 3, 3)).astype(float)
+        scale = rng.integers(1, 9, size=3)
+        stack[0, :, 0], stack[1, :, 0] = -scale, scale
+        builder = _ToyBuilder(stack)
+        specs = specialize(builder, 0)
+        assert list(specs[0].minors) == [(0, 2)]  # the first scanned pair
+        got = find_deletion_pair(builder.basis, specs)
+        assert got == _reference_deletion_pair(builder.basis, specs) == (0, 0)
+
+    def test_redraws(self):
+        builder = _Degenerate((3, 0))
+        specs = specialize(builder, 5)
+        assert builder.draws == dict(zip(SPECIALIZATION_PRIMES, (4, 1)))
+        for spec in specs:  # each carries the minor of its own last draw
+            ((pair, minor),) = spec.minors.items()
+            assert minor == det_modular([_bordered(spec.stack, *pair)], [spec.p])[0]
+        got = find_deletion_pair(builder.basis, specs)
+        assert got == _reference_deletion_pair(builder.basis, specs)
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_problem_seeds(self, pid):
+        problem = get_problem(pid)
+        for seed in range(10):
+            specs = specialize(problem, seed)
+            got = find_deletion_pair(problem.basis, specs)
+            assert got == _reference_deletion_pair(problem.basis, specs)
+
+
+class TestOneEliminationPerBuild:
+    """``build_template`` makes one ``det_modular`` call, and one more per redraw."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        batches = []  # the stack count of each call
+
+        def spy(stacks, primes):
+            batches.append(len(stacks))
+            return det_modular(stacks, primes)
+
+        monkeypatch.setattr(offline, "det_modular", spy)
+        return batches
+
+    @pytest.mark.parametrize("pid", ["conic", "five_point"])
+    def test_one_call_per_build(self, monkeypatch, pid):
+        batches = self._spy(monkeypatch)
+        for seed in range(5):
+            batches.clear()
+            build_template(get_problem(pid), seed)
+            assert batches == [4]  # both determinants and both first minors
+
+    @pytest.mark.parametrize("constant", [(3, 0), (1, 2)])
+    def test_one_more_call_per_redraw(self, monkeypatch, constant):
+        batches = self._spy(monkeypatch)
+        builder = _Degenerate(constant)
+        specs = specialize(builder, 5)
+        assert batches == [4] + [2] * sum(constant)
+        # the first pair passes on the minors the specializations carry
+        find_deletion_pair(builder.basis, specs)
+        assert batches == [4] + [2] * sum(constant)
 
 
 class TestSelectRecoveryPairs:
