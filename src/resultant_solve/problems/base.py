@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +37,26 @@ def matrix_layout(monomials, rows, basis, hidden_index: int) -> np.ndarray:
     return layout
 
 
+def substitution(monomials, P) -> np.ndarray:
+    """(M, M) matrix T for which ``equations @ T`` are the equations over u'.
+
+    u = [x, 1] = P u', and ``monomials`` is the (M, n) table of every
+    monomial of degree at most D in x, so each is a u^a of degree D.  Row a
+    of T expands u^a, a product of D rows of P, over every ordered sequence
+    of D columns, and adds each term to its monomial's slot: no inverse.
+    """
+    degree = int(monomials.sum(axis=1).max())
+    homogeneous = np.column_stack([monomials, degree - monomials.sum(axis=1)])
+    slot = {tuple(e): j for j, e in enumerate(homogeneous.tolist())}
+    columns = np.indices((len(P),) * degree).reshape(degree, -1).T
+    targets = [slot[tuple(np.bincount(c, minlength=len(P)))] for c in columns]
+    out = np.zeros((len(monomials), len(monomials)))
+    for a, exponents in enumerate(homogeneous):
+        rows = np.repeat(np.arange(len(P)), exponents)  # the D factors of u^a
+        np.add.at(out[a], targets, np.prod(P[rows, columns], axis=1))
+    return out
+
+
 @dataclass(frozen=True)
 class Problem:
     """Everything the offline/online stages need to know about one problem.
@@ -60,11 +80,10 @@ class Problem:
     equations, those of ``ROWS`` whose multiplier is 1: row i of M(z)
     times the basis monomials v(x) is one equation, which is how the
     online stage scores its candidates.
-    ``second_frame(data)``, when set, returns ``(equations, q)``: the
-    instance's equations with the homogeneous unknowns [x, 1] mixed by the
-    constant orthogonal q, so that a solution x' there is q^T [x', 1] up
-    to scale here.  The online stage re-solves in that frame
-    an instance whose first solve accepted nothing.
+    ``frames`` holds constant (P, T) pairs, T = ``substitution(MONOMIALS,
+    P)``: ``equations @ T`` are the equations over u' for [x, 1] = P u', so
+    a solution x' there is P [x', 1] up to scale here.  The online stage
+    re-solves in each frame an instance that has accepted nothing yet.
     """
 
     problem_id: str
@@ -79,4 +98,4 @@ class Problem:
     original_equations: Callable
     data_to_json: Callable
     data_from_json: Callable
-    second_frame: Optional[Callable] = None
+    frames: tuple = ()

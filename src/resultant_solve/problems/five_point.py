@@ -18,13 +18,12 @@ Python ints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateDataError, Problem, matrix_layout
+from .base import DegenerateDataError, Problem, matrix_layout, substitution
 
 HIDDEN_INDEX = 2
 BASIS = (
@@ -55,6 +54,16 @@ MON3 = _monomials(3)
 _IDX3 = {e: i for i, e in enumerate(MON3)}
 MONOMIALS = np.array(MON3)  # the cubics' monomial table, over (x, y, z)
 _LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS, HIDDEN_INDEX)
+
+# the second frame E'_j = sum_k Q_jk E_k, so [x, 1] = Q^T [x', 1]; Q is the QR
+# factor of default_rng(0).standard_normal((4, 4)), written out so no LAPACK kernel moves it
+Q = np.array([
+    (-0.05047916295569932, 0.12468065699085004, -0.4455722903582195, 0.8850830028559764),
+    (0.21506477395034093, -0.370571330318633, -0.8313138415261359, -0.3540357736707203),
+    (0.2825411849039954, 0.9024201593252053, -0.23212987916874342, -0.22786850171452352),
+    (0.9334717328050309, -0.1810234210307588, 0.23769381596729314, 0.1984003400783381),
+])
+FRAMES = ((Q.T, substitution(MONOMIALS, Q.T)),)
 
 
 def _scatter_matrix() -> np.ndarray:
@@ -198,30 +207,6 @@ def original_equations(data: FivePointData) -> np.ndarray:
     return constraint_vectors(_nullspace_basis(data))
 
 
-@functools.cache
-def frame_mix() -> np.ndarray:
-    """The fixed generic 4x4 orthogonal Q of the second frame.
-
-    The Q factor of a standard normal matrix from ``default_rng(0)``,
-    computed on first use: the QR call's LAPACK workspace costs the
-    process about 6 MB, which an import should not.
-    """
-    return np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
-
-
-def second_frame(data: FivePointData) -> tuple:
-    """The ten cubics over the mixed basis E'_j = sum_k Q_jk E_k, Q = ``frame_mix()``.
-
-    E = sum_j [x', 1]_j E'_j = sum_k (Q^T [x', 1])_k E_k, so a solution x'
-    of these cubics maps back to c = Q^T [x', 1], divided by its last
-    entry.
-    """
-    mix = frame_mix()
-    e_basis = _nullspace_basis(data)
-    mixed = (mix @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
-    return constraint_vectors(mixed), mix
-
-
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
@@ -297,5 +282,5 @@ PROBLEM = Problem(
     original_equations=original_equations,
     data_to_json=data_to_json,
     data_from_json=data_from_json,
-    second_frame=second_frame,
+    frames=FRAMES,
 )

@@ -19,8 +19,8 @@ names them in ``equation_rows``), so each candidate's residual is read
 from M(z) v(x) at its root, with no second pass over the equations.
 Candidates stay (R, n) and (R,) arrays through ranking, merging and the
 residual threshold; only the accepted ones become ``CandidateSolution``
-objects.  A problem with a second frame (``five_point``) re-solves an
-instance that accepted nothing in a fixed, generically mixed frame.  No
+objects.  An instance that accepted nothing is solved again by the same
+steps in each of its problem's constant frames, from ``equations @ T``.  No
 step forms a matrix inverse or solves a linear system through one; every
 quantity is a ratio of determinants.
 """
@@ -222,24 +222,19 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     return len(all_roots), real_candidates(all_roots)
 
 
-def _second_frame(problem, data, stack: np.ndarray, template: SolverTemplate):
-    """Solve again in the problem's second frame; None when that frame fails.
+def _solve_frame(problem, template, stack, frame_stack, P) -> SolutionSet:
+    """Solve ``frame_stack``, the instance in the frame [x, 1] = P [x', 1].
 
-    ``problem.second_frame(data)`` gives the equations in a frame where the
-    homogeneous unknowns [x', 1] are mixed by a constant orthogonal Q.  Each
-    candidate maps back by c = Q^T [x', 1] divided by its last entry, and
-    is re-scored on the equation rows of the original ``stack``.
+    Each candidate x' maps back by c = P [x', 1] over its last entry and is
+    scored on the equation rows of the original ``stack``; ``P`` is None,
+    and nothing is mapped, when ``frame_stack`` is ``stack``.
     """
-    try:
-        equations, mix = problem.second_frame(data)
-        frame_stack = problem.build(equations)
-        candidate_roots, hidden_values = _hidden_roots(frame_stack, template)
-    except (DegenerateDataError, SolveError):
-        return None
-    frame_coords, _ = _back_substitute(frame_stack, problem, template, hidden_values)
-    homogeneous = np.hstack([frame_coords, np.ones((len(frame_coords), 1))]) @ mix
-    coords = homogeneous[:, :-1] / homogeneous[:, -1:]
-    m_at_roots = evaluate_at(stack, coords[:, problem.hidden_index])
+    candidate_roots, hidden_values = _hidden_roots(frame_stack, template)
+    coords, m_at_roots = _back_substitute(frame_stack, problem, template, hidden_values)
+    if P is not None:
+        homogeneous = np.hstack([coords, np.ones((len(coords), 1))]) @ P.T
+        coords = homogeneous[:, :-1] / homogeneous[:, -1:]
+        m_at_roots = evaluate_at(stack, coords[:, problem.hidden_index])
     residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
     return _select(coords, residuals, problem.expected_solutions, candidate_roots)
 
@@ -247,25 +242,25 @@ def _second_frame(problem, data, stack: np.ndarray, template: SolverTemplate):
 def solve_online(template: SolverTemplate, data) -> SolutionSet:
     """Run the full online stage for one instance.
 
-    When nothing is accepted and the problem has a second frame, the
-    instance is solved once more in that frame, and its result replaces
-    the first one if it accepts a solution.  The variables, the basis and
-    the solution count r are the problem's; the template adds k and the
-    compiled Cramer rules of its deletion pair.
+    While nothing is accepted, it is solved again in each of the problem's
+    ``frames``, and a frame that accepts a solution gives the result.  The
+    variables, the basis and the solution count r are the problem's; the
+    template adds k and the compiled Cramer rules of its deletion pair.
     """
     problem = get_problem(template.problem_id)
     try:
-        stack = problem.build(problem.original_equations(data))
+        equations = problem.original_equations(data)
+        stack = problem.build(equations)
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
-    candidate_roots, hidden_values = _hidden_roots(stack, template)
-    coords, m_at_roots = _back_substitute(stack, problem, template, hidden_values)
-    residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
-    result = _select(coords, residuals, problem.expected_solutions, candidate_roots)
-    if result.failed and problem.second_frame is not None:
-        retried = _second_frame(problem, data, stack, template)
-        if retried is not None and not retried.failed:
-            return retried
+    result = _solve_frame(problem, template, stack, stack, None)
+    for P, T in problem.frames:
+        if result.failed:
+            try:
+                retried = _solve_frame(problem, template, stack, problem.build(equations @ T), P)
+            except SolveError:
+                continue
+            result = result if retried.failed else retried
     return result
 
 

@@ -18,7 +18,7 @@ def _register_toy(monkeypatch, problem_id, n_vars, basis):
     """A registered problem with only the structure a template reads.
 
     The hidden variable is the first, r = 1, and there is no builder,
-    data or second frame.
+    data or frame.
     """
     problem = Problem(problem_id, n_vars, 0, basis, (), 1, *[None] * 6)
     monkeypatch.setitem(PROBLEMS, problem_id, problem)

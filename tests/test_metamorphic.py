@@ -22,10 +22,11 @@ Nehalem and Prescott, numpy 2.4.6 with OpenBLAS 0.3.31, Python 3.11):
 the comment next to each limit gives the spread, and the limit sits above
 the worst of them.  A later change may tighten a limit; it may loosen one
 only after measuring the unchanged solver above it on a new platform.
-The three tolerance relations (the ``conic`` swap of the two conics, the
-``five_point`` permutation of the correspondences and the ``five_point``
-swap of the two views) also require every instance to accept a solution,
-so a solver that rejects everything cannot pass them vacuously.
+The four tolerance relations (the ``conic`` swap of the two conics, the
+``conic`` pencil, the ``five_point`` permutation of the correspondences
+and the ``five_point`` swap of the two views) also require every instance
+to accept a solution, so a solver that rejects everything cannot pass
+them vacuously.
 
 Mutations the relations were checked against, each on a deliberately
 broken copy of the code:
@@ -45,7 +46,11 @@ broken copy of the code:
   ``five_point`` count differs in 208 of 400 instances.  Under the view
   swap it differs in 98 of 400, with a median distance of 0.80: in the
   original labels, the swapped instance pairs each point of view b with
-  the next point of view a instead.  The ``conic`` swap does not involve this code.
+  the next point of view a instead.  The ``conic`` swap does not involve this code;
+- the matrix at the real roots rounded to float32 before Cramer (in
+  ``_back_substitute``): the ``conic`` swap still passes, because it only
+  permutes the matrix rows and so rounds the same entries, but the
+  ``conic`` pencil's median distance becomes 4.3e-7 and its worst 1.4e-4.
 
 Two relations are exact: scaling a conic, or a homogeneous image point,
 by a power of two changes no bit of the data after the constructors'
@@ -74,6 +79,11 @@ CONIC_INSTANCES = 500
 CONIC_MAX_MISMATCHES = 0  # measured 0 under every kernel
 CONIC_MAX_MEDIAN_DISTANCE = 1e-13  # measured 2.6e-15 .. 2.0e-14
 CONIC_MAX_DISTANCE = 1.5e-7  # measured 5.6e-8 .. 1.15e-7
+
+PENCIL_INSTANCES = 500
+PENCIL_MAX_MISMATCHES = 0  # measured 0 under every kernel
+PENCIL_MAX_MEDIAN_DISTANCE = 5e-13  # measured 1.4e-13 .. 1.7e-13
+PENCIL_MAX_DISTANCE = 1e-6  # measured 8.6e-8 .. 3.9e-7
 
 FIVE_POINT_INSTANCES = 400
 FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
@@ -138,6 +148,24 @@ def test_conic_swap_of_the_two_conics(conic_template):
     assert mismatches <= CONIC_MAX_MISMATCHES
     assert median <= CONIC_MAX_MEDIAN_DISTANCE
     assert worst <= CONIC_MAX_DISTANCE
+
+
+def test_conic_pencil(conic_template):
+    # (C1, C2) and (C1, 2 C1 + C2) span the same pencil of conics, so they
+    # meet in the same points; unlike the swap, the second solve's matrix
+    # is not a row permutation of the first's
+    problem = get_problem("conic")
+
+    def pairs():
+        for i in range(PENCIL_INSTANCES):
+            data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+            combined = ConicPairData(data.c1, 2 * data.c1 + data.c2)
+            yield _accepted(conic_template, data), _accepted(conic_template, combined)
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= PENCIL_MAX_MISMATCHES
+    assert median <= PENCIL_MAX_MEDIAN_DISTANCE
+    assert worst <= PENCIL_MAX_DISTANCE
 
 
 def test_five_point_permuted_correspondences(five_point_template):

@@ -91,6 +91,72 @@ class TestMatrixLayout:
             assert np.array_equal(stack, want)
 
 
+def _homogeneous_values(equations, monomials, u):
+    """The equations at the homogeneous point u = [x, 1] scaled, term by term."""
+    monomials = np.asarray(monomials)
+    degree = monomials.sum(axis=1).max()
+    exponents = np.column_stack([monomials, degree - monomials.sum(axis=1)])
+    return equations @ np.prod(u ** exponents, axis=1)
+
+
+class TestSubstitution:
+    TABLES = {"conic": conic.MONOMIALS, "five_point": five_point.MONOMIALS}
+
+    @pytest.mark.parametrize("pid", TABLES)
+    def test_identity_frame_is_the_identity(self, pid):
+        monomials = self.TABLES[pid]
+        size = monomials.shape[1] + 1
+        t = base.substitution(monomials, np.eye(size))
+        assert t.tobytes() == np.eye(len(monomials)).tobytes()
+
+    def test_power_of_two_scaling_is_exactly_diagonal(self):
+        # scaling the hidden z by 2 multiplies each cubic monomial by 2^(its
+        # power of z): a diagonal T of exact powers of two
+        t = base.substitution(five_point.MONOMIALS, np.diag([1.0, 1.0, 2.0, 1.0]))
+        want = 2.0 ** five_point.MONOMIALS[:, 2]
+        assert np.array_equal(t, np.diag(want))
+        assert set(want.tolist()) == {1.0, 2.0, 4.0, 8.0}
+
+    @pytest.mark.parametrize("pid", TABLES)
+    def test_substituted_equations_agree_at_random_points(self, pid):
+        monomials = self.TABLES[pid]
+        size = monomials.shape[1] + 1
+        rng = np.random.default_rng(19)
+        p, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        equations = rng.standard_normal((3, len(monomials)))
+        substituted = equations @ base.substitution(monomials, p)
+        for _ in range(50):
+            u = rng.standard_normal(size)
+            u /= np.linalg.norm(u)
+            want = _homogeneous_values(equations, monomials, p @ u)
+            got = _homogeneous_values(substituted, monomials, u)
+            assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_literal_q_is_the_default_rng_qr(self):
+        # the literal stands for the QR of default_rng(0)'s 4x4 draw; LAPACK
+        # kernels disagree on that QR in the last bit (5.6e-17 measured
+        # between SkylakeX and Prescott), so it is compared to 1e-15
+        q = five_point.Q
+        assert np.abs(q @ q.T - np.eye(4)).max() < 1e-15
+        qr = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        assert np.abs(q - qr).max() < 1e-15
+        (P, _), = five_point.FRAMES
+        assert np.array_equal(P, q.T)
+
+    def test_five_point_frame_cubics_match_the_mixed_basis(self):
+        # the cubics over E'_j = sum_k Q_jk E_k, written out by the frozen
+        # float expansion, are the substituted cubics up to rounding
+        # (worst 9.5e-16 relative measured, under five OpenBLAS kernels)
+        (_, t), = five_point.FRAMES
+        for i in range(300):
+            data, _ = five_point.generate_instance(np.random.default_rng([1, i]))
+            e_basis = five_point._nullspace_basis(data)
+            mixed = (five_point.Q @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
+            want = equation_oracles.five_point_constraint_vectors(mixed)
+            got = five_point.original_equations(data) @ t
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestConic:
     def test_builder_shape(self):
         problem = get_problem("conic")
@@ -206,13 +272,13 @@ class TestFivePoint:
             assert list(matrix @ monomials) == list(want)
 
     def test_float_cubics_match_frozen_copy_bitwise(self):
-        # the online cubics of the first 300 seed-1 pool instances, in both
-        # frames, bit for bit those of the float expansion kept in the oracles
-        mix = five_point.frame_mix()
+        # the online cubics of the first 300 seed-1 pool instances, over the
+        # nullspace basis and over its mix by the second frame's Q, bit for
+        # bit those of the float expansion kept in the oracles
         for i in range(300):
             data, _ = five_point.generate_instance(np.random.default_rng([1, i]))
             e_basis = five_point._nullspace_basis(data)
-            mixed = (mix @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
+            mixed = (five_point.Q @ e_basis.reshape(4, 9)).reshape(4, 3, 3)
             for e in (e_basis, mixed):
                 got = five_point.constraint_vectors(e)
                 assert np.array_equal(got, equation_oracles.five_point_constraint_vectors(e))

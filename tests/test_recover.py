@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from resultant_solve import recover
 from resultant_solve.matrixpoly import evaluate_at
 from resultant_solve.offline import build_template, template_from_json
 from resultant_solve.poly import PolynomialSystem
-from resultant_solve.problems import five_point, generate_instance, get_problem
+from resultant_solve.problems import PROBLEMS, five_point, generate_instance, get_problem
 from resultant_solve.problems.conic import ConicPairData
 from resultant_solve.recover import (
     SolveError,
@@ -493,18 +494,30 @@ class TestSolveOnline:
 
 class TestSecondFrame:
     # five_point instances (template and instance seed, index) of the
-    # perfbench pools whose first frame accepted nothing on the machine
-    # the retry was written on; whether the first frame fails depends on
-    # the LAPACK kernel, so the second frame is also checked on its own
+    # perfbench pools whose first frame accepts nothing, measured under the
+    # SkylakeX, Haswell, Sandybridge, Nehalem and Prescott OpenBLAS kernels;
+    # whether the first frame fails can depend on the LAPACK kernel, so the
+    # second frame is also checked on its own
     RETRIED = ((11, 532), (25, 141), (38, 1899), (39, 1364), (102, 1907), (109, 1910))
+
+    @staticmethod
+    def _retried(seed, index):
+        problem = get_problem("five_point")
+        data, gts = problem.generate_instance(np.random.default_rng([seed, index]))
+        return problem, build_template(problem, seed), data, gts
+
+    @staticmethod
+    def _with_frames(monkeypatch, frames):
+        problem = dataclasses.replace(five_point.PROBLEM, frames=frames)
+        monkeypatch.setitem(PROBLEMS, "five_point", problem)
 
     @pytest.mark.parametrize("seed,index", RETRIED)
     def test_failing_pool_instances_solve(self, seed, index):
-        problem = get_problem("five_point")
-        template = build_template(problem, seed)
-        data, gts = problem.generate_instance(np.random.default_rng([seed, index]))
-        stack = problem.build(problem.original_equations(data))
-        retried = recover._second_frame(problem, data, stack, template)
+        problem, template, data, gts = self._retried(seed, index)
+        equations = problem.original_equations(data)
+        stack = problem.build(equations)
+        (P, T), = problem.frames
+        retried = recover._solve_frame(problem, template, stack, problem.build(equations @ T), P)
         for result in (retried, solve_online(template, data)):
             assert not result.failed
             assert min(np.max(np.abs(c.x - gts[0])) for c in result.accepted) < 1e-6
@@ -515,18 +528,38 @@ class TestSecondFrame:
             )
 
     def test_frame_maps_ground_truth_to_a_root(self):
-        # c = Q^T [x', 1] up to scale, so [x', 1] is Q [x, 1] over its last entry
+        # u = [x, 1] = P u' with P orthogonal, so u' is P^T [x, 1] up to scale
         problem = get_problem("five_point")
         data, gts = problem.generate_instance(np.random.default_rng(4))
-        equations, mix = five_point.second_frame(data)
-        assert np.allclose(mix @ mix.T, np.eye(4), atol=1e-14)
-        h = mix @ np.append(gts[0], 1.0)
+        (P, T), = problem.frames
+        assert np.allclose(P @ P.T, np.eye(4), atol=1e-14)
+        h = P.T @ np.append(gts[0], 1.0)
         x_frame = h[:3] / h[3]
-        system = PolynomialSystem(equations, five_point.MONOMIALS)
+        system = PolynomialSystem(problem.original_equations(data) @ T, five_point.MONOMIALS)
         assert system.max_abs_residual(x_frame) < 1e-10 * np.linalg.norm(x_frame) ** 3
 
     def test_conic_has_no_second_frame(self):
-        assert get_problem("conic").second_frame is None
+        assert get_problem("conic").frames == ()
+
+    def test_no_frames_leave_the_first_frame_failed(self, monkeypatch):
+        _, template, data, _ = self._retried(*self.RETRIED[0])
+        self._with_frames(monkeypatch, ())
+        result = solve_online(template, data)
+        assert result.failed and not result.accepted
+
+    def test_frame_that_raises_keeps_the_first_result(self, monkeypatch):
+        # an all-zero T builds an all-zero stack, whose determinant vanishes
+        # identically: that frame raises SolveError and is skipped
+        problem, template, data, _ = self._retried(*self.RETRIED[0])
+        zero = np.zeros((len(five_point.MONOMIALS),) * 2)
+        with pytest.raises(SolveError, match="vanished identically"):
+            recover._hidden_roots(problem.build(problem.original_equations(data) @ zero), template)
+        self._with_frames(monkeypatch, ())
+        first = solve_online(template, data)
+        self._with_frames(monkeypatch, ((np.eye(4), zero),))
+        result = solve_online(template, data)
+        assert result.failed
+        assert solution_set_to_json(result) == solution_set_to_json(first)
 
 
 class TestConjugateSamples:
