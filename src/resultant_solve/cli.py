@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -30,6 +31,10 @@ HIST_RANGE = (-16.0, 0.0)
 CSV_HEADER = (
     "problem,trials,mean_log10,median_log10,fail_pct,mean_us,mean_roots,best_mean_log10"
 )
+# workers fork on Linux whatever the caller's start method (forkserver is
+# Python 3.14's default): a calling script then needs no __main__ guard, no
+# worker pays an interpreter start-up, and workers see the caller's state
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,8 @@ def run_bench(
     template = build_template(problem, seed)
     first, *rest = _chunks(trials, jobs)
     # a single range runs in this process alone, without a pool
-    with ProcessPoolExecutor(max_workers=len(rest)) if rest else nullcontext() as pool:
+    pool = ProcessPoolExecutor(len(rest), mp_context=_POOL_CONTEXT) if rest else nullcontext()
+    with pool:
         futures = [pool.submit(_run_chunk, problem_id, template, seed, c) for c in rest]
         records = _run_chunk(problem_id, template, seed, first)
         for future in futures:

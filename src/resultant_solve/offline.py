@@ -15,8 +15,9 @@ and the two decisions are frozen, with the problem's id, into a
 JSON-serializable SolverTemplate that the online stage replays on every
 instance.  Everything else the online stage needs (the variables, the
 basis and with it N, the solution count r) is the problem's, read through
-``get_problem``.  What it derives from the template and its problem
-(the recovered variable columns, the basis exponents, and the Cramer
+``get_problem``.  The hidden variable is the problem's last unknown, so
+the others are recovered in order.  What the online stage derives from
+the template and its problem (the basis exponents, and the Cramer
 rules: the deletion pair and its alternates, each with the recovery
 pairs that ``select_recovery_pairs`` picks from the basis for its
 column, as one gather index) is compiled once, into cached properties
@@ -244,12 +245,6 @@ def _bordered(stack: np.ndarray, i: int, j: int) -> np.ndarray:
 # --- template construction ---------------------------------------------------
 
 
-def _unit_exponent(w: int, n_vars: int, hidden_index: int) -> tuple:
-    """Exponent vector of variable w over the non-hidden variables."""
-    pos = w - 1 if w > hidden_index else w
-    return tuple(int(q == pos) for q in range(n_vars - 1))
-
-
 @dataclass(frozen=True)
 class SolverTemplate:
     """What the offline stage decides for one problem: k and the deletion pair.
@@ -284,12 +279,6 @@ class SolverTemplate:
     # may hold closures.
 
     @cached_property
-    def recovered_columns(self) -> np.ndarray:
-        """The non-hidden variables, in order."""
-        problem = get_problem(self.problem_id)
-        return np.array([w for w in range(problem.n_vars) if w != problem.hidden_index])
-
-    @cached_property
     def exponents(self) -> np.ndarray:
         """The (N, n-1) basis exponent array."""
         return np.asarray(get_problem(self.problem_id).basis)
@@ -305,8 +294,9 @@ class SolverTemplate:
         out structurally (for example when the deleted column has support
         only in the deleted row); the alternates keep such roots alive.
         Rule (i, j) deletes row i and column j of the (N, 2N) matrix
-        [M | -M] and, for each recovered variable in ascending order, the
-        numerator then the denominator of its recovery pair, replaces that
+        [M | -M] and, for each variable before the hidden last one, in
+        order, the numerator then the denominator of its recovery pair
+        (entry w of ``select_recovery_pairs``' tuple), replaces that
         pair's column by column N + j, the right-hand side -M[:, j]
         without row i.
         """
@@ -316,15 +306,13 @@ class SolverTemplate:
         columns = {}  # j -> (2W, N-1) column index of the submatrices
         for j in range(size):
             try:
-                pairs = select_recovery_pairs(
-                    problem.basis, j, problem.n_vars, problem.hidden_index
-                )
+                pairs = select_recovery_pairs(problem.basis, j)
             except TemplateError:
                 if j == self.deletion_pair[1]:
                     raise
                 continue
             kept = index[index != j]
-            replaced = np.array([c for w in sorted(pairs) for c in pairs[w]])
+            replaced = np.array([c for pair in pairs for c in pair])
             columns[j] = np.where(kept == replaced[:, None], size + j, kept)
         order = [self.deletion_pair] + [
             (i, j) for i in range(size) for j in columns if (i, j) != self.deletion_pair
@@ -458,26 +446,22 @@ def find_deletion_pair(basis, specializations: list) -> tuple[int, int]:
     raise TemplateError("no valid deletion pair")
 
 
-def select_recovery_pairs(
-    basis, deleted_col: int, n_vars: int, hidden_index: int
-) -> dict:
+def select_recovery_pairs(basis, deleted_col: int) -> tuple:
     """Index pairs whose basis-monomial ratio isolates each unknown.
 
-    For every non-hidden variable w, each column j2 surviving the column
-    deletion pairs with the surviving column j1 whose monomial is
-    basis[j2] times w, found by a lookup of the basis, so each variable
+    For every variable w but the hidden last one, each column j2 surviving
+    the column deletion pairs with the surviving column j1 whose monomial
+    is basis[j2] times w, found by a lookup of the basis, so each variable
     costs O(N).  Among those pairs the lowest total degree wins, then the
-    lexicographically first (j1, j2).
+    lexicographically first (j1, j2).  Entry w of the result is w's pair.
     """
     column = {}  # monomial -> its first surviving column
     for j, e in enumerate(basis):
         if j != deleted_col:
             column.setdefault(tuple(e), j)
-    pairs = {}
-    for w in range(n_vars):
-        if w == hidden_index:
-            continue
-        unit = _unit_exponent(w, n_vars, hidden_index)
+    pairs = []
+    for w in range(len(basis[0])):
+        unit = tuple(int(q == w) for q in range(len(basis[0])))
         # basis[j1] is basis[j2] times w, so the pair's total degree is 2|e| + 1
         candidates = [
             (2 * sum(e) + 1, column[up], j2)
@@ -490,8 +474,8 @@ def select_recovery_pairs(
                 f"with column {deleted_col} deleted"
             )
         _, j1, j2 = min(candidates)
-        pairs[w] = (j1, j2)
-    return pairs
+        pairs.append((j1, j2))
+    return tuple(pairs)
 
 
 def build_template(problem, rng_seed: int) -> SolverTemplate:
@@ -500,7 +484,7 @@ def build_template(problem, rng_seed: int) -> SolverTemplate:
     k = detect_degree(specializations)
     deletion = find_deletion_pair(problem.basis, specializations)
     # the deleted column must leave every variable recoverable
-    select_recovery_pairs(problem.basis, deletion[1], problem.n_vars, problem.hidden_index)
+    select_recovery_pairs(problem.basis, deletion[1])
     if problem.expected_solutions > k:
         raise TemplateError(
             f"expected solution count {problem.expected_solutions} exceeds degree {k}"

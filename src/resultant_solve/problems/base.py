@@ -12,13 +12,13 @@ class DegenerateDataError(ValueError):
     """Input data violates a builder precondition."""
 
 
-def matrix_layout(monomials, rows, basis, hidden_index: int) -> np.ndarray:
+def matrix_layout(monomials, rows, basis) -> np.ndarray:
     """(d+1, N, N) gather index of M(hidden) into the equations plus a zero.
 
-    ``monomials`` is the (M, n) exponent table, over all n variables, of an
-    (m, M) equation coefficient array; ``rows`` lists the matrix rows as
-    (equation e, multiplier u) pairs and ``basis`` the column monomials,
-    both as exponent tuples over the non-hidden variables.  Row r is
+    ``monomials`` is the (M, n) exponent table, over all n variables with
+    the hidden one last, of an (m, M) equation coefficient array; ``rows``
+    lists the matrix rows as (equation e, multiplier u) pairs and ``basis``
+    the column monomials, both as exponent tuples over the first n-1.  Row r is
     equation e times u, so entry (l, r, c) indexes e's coefficient of
     basis[c] / u times hidden^l in the flattened equations, or is -1 when
     e has no such monomial.  ``np.append(equations, 0)[layout]`` is then
@@ -26,12 +26,12 @@ def matrix_layout(monomials, rows, basis, hidden_index: int) -> np.ndarray:
     """
     monomials = np.asarray(monomials)
     slot = {tuple(e): j for j, e in enumerate(monomials.tolist())}
-    layout = np.full((monomials[:, hidden_index].max() + 1, len(rows), len(basis)), -1)
+    layout = np.full((monomials[:, -1].max() + 1, len(rows), len(basis)), -1)
     for r, (e, u) in enumerate(rows):
         for c, column in enumerate(basis):
             rest = tuple(b - a for a, b in zip(u, column))
             for power in range(len(layout)):
-                j = slot.get(rest[:hidden_index] + (power,) + rest[hidden_index:])
+                j = slot.get(rest + (power,))
                 if j is not None:
                     layout[power, r, c] = e * len(monomials) + j
     return layout
@@ -61,9 +61,9 @@ def substitution(monomials, P) -> np.ndarray:
 class Problem:
     """Everything the offline/online stages need to know about one problem.
 
+    The hidden variable is the last of the ``n_vars`` unknowns, and
     ``basis`` lists the column monomials as exponent tuples over the
-    non-hidden variables (original variable order with the hidden one
-    removed).  ``original_equations(data)`` writes the instance's equations
+    others, in order.  ``original_equations(data)`` writes the instance's equations
     as their float64 (m, M) coefficient array over the problem module's
     ``MONOMIALS`` table, and ``build(equations)`` turns that array into the
     matrix polynomial's (d+1, N, N) coefficient stack, so the online stage
@@ -87,8 +87,6 @@ class Problem:
     """
 
     problem_id: str
-    n_vars: int
-    hidden_index: int
     basis: tuple
     equation_rows: tuple
     expected_solutions: int
@@ -99,3 +97,8 @@ class Problem:
     data_to_json: Callable
     data_from_json: Callable
     frames: tuple = ()
+
+    @property
+    def n_vars(self) -> int:
+        """The number of unknowns, the hidden one included."""
+        return len(self.basis[0]) + 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import DegenerateDataError, Problem, matrix_layout
 
-HIDDEN_INDEX = 1  # y is hidden; x is eliminated by the Sylvester matrix
+# y, the last unknown, is hidden; x is eliminated by the Sylvester matrix
 BASIS = ((3,), (2,), (1,), (0,))
 # the Sylvester rows x f1, f1, x f2, f2 as (equation, multiplier) pairs
 ROWS = ((0, (1,)), (0, (0,)), (1, (1,)), (1, (0,)))
@@ -55,7 +55,7 @@ class ConicPairData:
 
 # monomials (x^2, x y, y^2, x, y, 1) of the conic rows, over (x, y)
 MONOMIALS = np.array([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)])
-_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS, HIDDEN_INDEX)
+_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS)
 
 
 def _conic_row(c: np.ndarray) -> list:
@@ -156,8 +156,6 @@ def data_from_json(obj: dict) -> ConicPairData:
 
 PROBLEM = Problem(
     problem_id="conic",
-    n_vars=2,
-    hidden_index=HIDDEN_INDEX,
     basis=BASIS,
     equation_rows=EQUATION_ROWS,
     expected_solutions=EXPECTED_SOLUTIONS,

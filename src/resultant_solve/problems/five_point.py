@@ -25,7 +25,6 @@ import numpy as np
 
 from .base import DegenerateDataError, Problem, matrix_layout, substitution
 
-HIDDEN_INDEX = 2
 BASIS = (
     (3, 0), (0, 3), (2, 1), (1, 2), (2, 0),
     (0, 2), (1, 1), (1, 0), (0, 1), (0, 0),
@@ -53,7 +52,7 @@ MON1 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]  # x, y, z, 1
 MON3 = _monomials(3)
 _IDX3 = {e: i for i, e in enumerate(MON3)}
 MONOMIALS = np.array(MON3)  # the cubics' monomial table, over (x, y, z)
-_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS, HIDDEN_INDEX)
+_LAYOUT = matrix_layout(MONOMIALS, ROWS, BASIS)
 
 # the second frame E'_j = sum_k Q_jk E_k, so [x, 1] = Q^T [x', 1]; Q is the QR
 # factor of default_rng(0).standard_normal((4, 4)), written out so no LAPACK kernel moves it
@@ -271,8 +270,6 @@ def data_from_json(obj: dict) -> FivePointData:
 
 PROBLEM = Problem(
     problem_id="five_point",
-    n_vars=3,
-    hidden_index=HIDDEN_INDEX,
     basis=BASIS,
     equation_rows=EQUATION_ROWS,
     expected_solutions=EXPECTED_SOLUTIONS,

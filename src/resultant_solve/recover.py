@@ -27,6 +27,7 @@ quantity is a ratio of determinants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,14 @@ RESIDUAL_FAIL_THRESHOLD = 1e-3
 # tolerance must sit above that to collapse them into one solution
 DUPLICATE_TOL = 1e-7
 SINGULAR_FLOOR = 1e-300
+# a determinant whose largest coefficient is at most VANISH_FLOOR times H,
+# the Hadamard bound of |det M| on the unit circle, is rounding noise.
+# Measured log10(largest coefficient / H): the conic and five_point seed
+# 1-3 pools at or above -12.3; near-identical conics (C2 = C1 + 1e-9 B),
+# ill-posed but solvable, -21.6 to -17.8; identical and proportional
+# conics, identical views and a collinear first view at or below -30.7.
+# 1e-26 leaves over 4 orders of margin on each side.
+VANISH_FLOOR = 1e-26
 
 
 class SolveError(RuntimeError):
@@ -77,7 +86,7 @@ def cramer_at(m_at_roots: np.ndarray, index: np.ndarray) -> tuple:
     hidden-variable values, and ``index`` one of ``SolverTemplate.rules``,
     a deletion pair (i, j) with its recovery pairs: row i and column j
     are removed, and the negated column j, without row i, is the
-    right-hand side.  Variable w (ascending order of the recovery pairs) is
+    right-hand side.  Variable w, one of the W before the hidden last one, is
     det(replace column j1) / det(replace column j2) for its pair (j1, j2);
     the shared b_j normalization cancels, so the result does not depend on
     the deleted column's monomial.  The (R, 2W, N-1, N-1) stack of all 2W
@@ -122,19 +131,19 @@ def _back_substitute(
     order, all still-singular roots at once, so each keeps the first rule
     that is non-singular for every variable; roots left when the rules run
     out are discarded.  ``coords`` is (R, n) with the hidden value in its
-    column, and ``m_at_roots`` the (R, N, N) matrix at the kept roots,
+    last column, and ``m_at_roots`` the (R, N, N) matrix at the kept roots,
     both in root order.
     """
     if not len(hidden_values):
         return np.empty((0, problem.n_vars)), np.empty((0,) + stack.shape[1:])
     m_at_roots = evaluate_at(stack, hidden_values)
     coords = np.empty((len(hidden_values), problem.n_vars))
-    coords[:, problem.hidden_index] = hidden_values
+    coords[:, -1] = hidden_values
     pending = np.arange(len(hidden_values))
     for index in template.rules:
         values, singular = cramer_at(m_at_roots[pending], index)
         # a singular root's values are overwritten by a later rule or dropped
-        coords[pending[:, None], template.recovered_columns] = values
+        coords[pending, :-1] = values
         pending = pending[singular.any(axis=1)]
         if not len(pending):
             return coords, m_at_roots
@@ -147,7 +156,7 @@ def _residuals(
     m_at_roots: np.ndarray, template: SolverTemplate, coords: np.ndarray, rows
 ) -> np.ndarray:
     """max over ``rows`` of |M(z) v(x)| / |x| for each row x of ``coords``."""
-    points = coords[:, template.recovered_columns]
+    points = coords[:, :-1]
     equations = equation_values(m_at_roots, template.exponents, points, rows)
     norms = np.sqrt(np.add.reduce(coords * coords, axis=1))  # np.linalg.norm's sum
     return np.abs(equations).max(axis=1) / np.where(norms > 0.0, norms, 1.0)
@@ -196,6 +205,29 @@ def _select(
     )
 
 
+def _vanishes(stack: np.ndarray, max_mag: float) -> bool:
+    """Whether ``max_mag``, the largest determinant coefficient, is <= VANISH_FLOOR * H.
+
+    H, the product over rows of the 2-norm of that row of sum_l |A_l|,
+    bounds |det M| on the unit circle (Hadamard), and with it every
+    coefficient.  H is at most (sqrt(N) (d+1) max|A|)^N, so it is formed
+    only when ``max_mag`` falls below VANISH_FLOOR times that.  Both sides
+    are compared as logarithms, so no scale of the stack overflows.
+    """
+    if max_mag == 0.0:
+        return True
+    size = stack.shape[-1]
+    magnitudes = np.abs(stack)
+    scale = float(magnitudes.max())
+    excess = math.log(max_mag) - math.log(VANISH_FLOOR) - size * math.log(scale)
+    if excess > size * math.log(math.sqrt(size) * len(stack)):
+        return False
+    rows = magnitudes.sum(axis=0) / scale
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    # a zero row makes every sample's det exactly 0, so max_mag is 0 then
+    return excess <= float(np.log(norms).sum())
+
+
 def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     """(number of complex roots, real hidden values) of det M for one stack."""
     # det of an N x N matrix of degree-d entries has degree at most N d; a
@@ -211,9 +243,11 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     upper = det_complex(batched_eval(stack, template.k)[: count // 2 + 1])
     samples = np.concatenate((upper, upper[(count - 1) // 2 : 0 : -1].conj()))
     raw = recover_coefficients(samples)
-    max_mag = float(np.abs(raw).max())
-    if max_mag == 0.0:
-        raise SolveError("degenerate instance: determinant vanished identically")
+    if _vanishes(stack, float(np.abs(raw).max())):
+        raise SolveError(
+            "degenerate instance: determinant vanishes to rounding"
+            " (a continuum of solutions, or none)"
+        )
     det_poly = trim(raw.real)
     if len(det_poly) < 2:
         raise SolveError("degenerate instance: determinant degree collapsed")
@@ -234,7 +268,7 @@ def _solve_frame(problem, template, stack, frame_stack, P) -> SolutionSet:
     if P is not None:
         homogeneous = np.hstack([coords, np.ones((len(coords), 1))]) @ P.T
         coords = homogeneous[:, :-1] / homogeneous[:, -1:]
-        m_at_roots = evaluate_at(stack, coords[:, problem.hidden_index])
+        m_at_roots = evaluate_at(stack, coords[:, -1])
     residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
     return _select(coords, residuals, problem.expected_solutions, candidate_roots)
 

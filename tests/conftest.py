@@ -14,13 +14,13 @@ def five_point_template():
     return build_template(get_problem("five_point"), 7)
 
 
-def _register_toy(monkeypatch, problem_id, n_vars, basis):
+def _register_toy(monkeypatch, problem_id, basis):
     """A registered problem with only the structure a template reads.
 
-    The hidden variable is the first, r = 1, and there is no builder,
+    The hidden variable is the last, r = 1, and there is no builder,
     data or frame.
     """
-    problem = Problem(problem_id, n_vars, 0, basis, (), 1, *[None] * 6)
+    problem = Problem(problem_id, basis, (), 1, *[None] * 6)
     monkeypatch.setitem(PROBLEMS, problem_id, problem)
 
 
@@ -31,12 +31,12 @@ def toy_template(monkeypatch):
     k = 2, and row 0 / column 0 deleted, so v is the ratio of columns 1
     and 2.
     """
-    _register_toy(monkeypatch, "toy", 2, ((2,), (1,), (0,)))
+    _register_toy(monkeypatch, "toy", ((2,), (1,), (0,)))
     return SolverTemplate("toy", 2, (0, 0))
 
 
 @pytest.fixture
 def toy3_template(monkeypatch):
     """Basis (x, y, 1, xy) over two recovered variables, column 3 deleted."""
-    _register_toy(monkeypatch, "toy3", 3, ((1, 0), (0, 1), (0, 0), (1, 1)))
+    _register_toy(monkeypatch, "toy3", ((1, 0), (0, 1), (0, 0), (1, 1)))
     return SolverTemplate("toy3", 1, (0, 3))

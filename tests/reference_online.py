@@ -112,9 +112,7 @@ def cramer_ratios(
 def template_pairs(template: SolverTemplate) -> dict:
     """The recovery pairs of the template's deletion pair."""
     problem = get_problem(template.problem_id)
-    return select_recovery_pairs(
-        problem.basis, template.deletion_pair[1], problem.n_vars, problem.hidden_index
-    )
+    return dict(enumerate(select_recovery_pairs(problem.basis, template.deletion_pair[1])))
 
 
 def rule_pairs(template: SolverTemplate) -> list:
@@ -138,9 +136,7 @@ def _fallback_deletions(template: SolverTemplate) -> list:
                 continue
             if j not in pairs_for_col:
                 try:
-                    pairs_for_col[j] = select_recovery_pairs(
-                        problem.basis, j, problem.n_vars, problem.hidden_index
-                    )
+                    pairs_for_col[j] = dict(enumerate(select_recovery_pairs(problem.basis, j)))
                 except TemplateError:
                     pairs_for_col[j] = None
             if pairs_for_col[j] is not None:
@@ -182,9 +178,9 @@ def _assemble_candidates(
     values, singular = cramer_ratios(
         m_at_roots, template.deletion_pair, template_pairs(template)
     )
-    recovered = [w for w in range(problem.n_vars) if w != problem.hidden_index]
+    recovered = list(range(problem.n_vars - 1))
     coords = np.empty((len(hidden_values), problem.n_vars))
-    coords[:, problem.hidden_index] = hidden_values
+    coords[:, -1] = hidden_values
     coords[:, recovered] = values
     keep = ~singular.any(axis=1)
     fallback: list | None = None  # built only if the template pair degenerates

@@ -211,7 +211,7 @@ def test_criterion_7_rank_deficiency_witness(conic_template, five_point_template
             stack = problem.build(problem.original_equations(data))
             result = solve_online(template, data)
             for cand in result.accepted:
-                m = evaluate_at(stack, cand.x[problem.hidden_index])
+                m = evaluate_at(stack, cand.x[-1])
                 sigma = np.linalg.svd(m, compute_uv=False)
                 worst_full = max(worst_full, sigma[-1] / sigma[0])
                 sub = np.delete(np.delete(m, i, axis=0), j, axis=1)

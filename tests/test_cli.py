@@ -1,6 +1,9 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import Future
 
 import numpy as np
@@ -230,8 +233,7 @@ class TestBench:
     def test_solve_errors_count_and_other_errors_propagate(self, monkeypatch, jobs):
         # a SolveError is a failed trial; any other exception is a bug and
         # must reach the caller, also from a worker process. The monkeypatch
-        # reaches the workers because they are forked, the default start
-        # method on Linux up to Python 3.13.
+        # reaches the workers because run_bench forks them on Linux.
         calls = []
 
         def failing(template, data):
@@ -284,6 +286,30 @@ class TestBench:
             cli.run_bench("conic", 4, 0, 2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_caller_start_method_needs_no_main_guard(self, tmp_path, method):
+        # a script without an `if __name__ == "__main__"` guard sets another
+        # start method and calls run_bench: the workers still fork, so they
+        # never re-run the script, and the row is the one run_bench gives here
+        script = tmp_path / "bench_script.py"
+        script.write_text(textwrap.dedent(f"""\
+            import multiprocessing, os
+            from resultant_solve import cli
+            multiprocessing.set_start_method({method!r})
+            os.sched_getaffinity = lambda pid: {{0, 1}}  # a worker also on one CPU
+            report, _ = cli.run_bench("conic", 8, 2, 2)
+            print(report.csv_row())
+            """))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        row = done.stdout.strip().split(",")
+        want = cli.run_bench("conic", 8, 2, 1)[0].csv_row().split(",")
+        assert row[:5] + row[6:] == want[:5] + want[6:]  # all but mean_us
+
     def test_no_worker_outlives_run_bench(self, two_cpus, monkeypatch):
         cli.run_bench("conic", 4, 0, 2)
         assert multiprocessing.active_children() == []
@@ -331,7 +357,7 @@ class TestBench:
         sizes = []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
             def __enter__(self):

@@ -14,7 +14,6 @@ from resultant_solve.offline import (
     TemplateError,
     _bordered,
     _degree_bound,
-    _unit_exponent,
     _zp_gcd,
     build_template,
     det_modular,
@@ -66,11 +65,9 @@ def _to_modular(stack, p):
 class _ToyBuilder:
     """Minimal problem stand-in: a fixed integer stack for every draw."""
 
-    def __init__(self, stack, basis=None, n_vars=2, hidden_index=0, r=1):
+    def __init__(self, stack, basis=None, r=1):
         self._stack = np.asarray(stack, dtype=float)
         self.problem_id = "toy"
-        self.n_vars = n_vars
-        self.hidden_index = hidden_index
         self.basis = basis or tuple((i,) for i in range(self._stack.shape[1] - 1, -1, -1))
         self.expected_solutions = r
 
@@ -587,30 +584,26 @@ class TestOneEliminationPerBuild:
 
 class TestSelectRecoveryPairs:
     def test_documented_small_basis(self):
-        # basis (1, y, y^2, x, xy) over (x, y), constant column deleted:
-        # x must come from (xy, y), y ties at total degree 3 and resolves
-        # lexicographically to (y^2, y)
+        # basis (1, y, y^2, x, xy) over (x, y), z hidden, constant column
+        # deleted: x must come from (xy, y), y ties at total degree 3 and
+        # resolves lexicographically to (y^2, y)
         basis = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))
-        pairs = select_recovery_pairs(basis, 0, 3, 0)
-        assert pairs[1] == (4, 1)
-        assert pairs[2] == (2, 1)
+        assert select_recovery_pairs(basis, 0) == ((4, 1), (2, 1))
 
     def test_insufficient_basis(self):
         basis = ((0,), (1,))
         with pytest.raises(TemplateError, match="basis insufficient"):
-            select_recovery_pairs(basis, 0, 2, 0)
+            select_recovery_pairs(basis, 0)
 
     @pytest.mark.parametrize("pid", ["conic", "five_point"])
     def test_lookup_matches_the_pair_scan(self, pid):
-        # the O(N^2) scan the lookup replaced, kept verbatim: same pairs for
-        # every deleted column of both bases
-        def scan(basis, deleted_col, n_vars, hidden_index):
+        # the O(N^2) scan the lookup replaced, with the hidden variable
+        # last: same pairs for every deleted column of both bases
+        def scan(basis, deleted_col):
             basis = [tuple(e) for e in basis]
-            pairs = {}
-            for w in range(n_vars):
-                if w == hidden_index:
-                    continue
-                unit = _unit_exponent(w, n_vars, hidden_index)
+            pairs = []
+            for w in range(len(basis[0])):
+                unit = tuple(int(q == w) for q in range(len(basis[0])))
                 candidates = [
                     (sum(basis[j1]) + sum(basis[j2]), j1, j2)
                     for j1 in range(len(basis))
@@ -620,21 +613,19 @@ class TestSelectRecoveryPairs:
                     and tuple(a - b for a, b in zip(basis[j1], basis[j2])) == unit
                 ]
                 _, j1, j2 = min(candidates)
-                pairs[w] = (j1, j2)
-            return pairs
+                pairs.append((j1, j2))
+            return tuple(pairs)
 
         problem = get_problem(pid)
-        args = (problem.n_vars, problem.hidden_index)
         for deleted in range(len(problem.basis)):
-            got = select_recovery_pairs(problem.basis, deleted, *args)
-            assert got == scan(problem.basis, deleted, *args)
+            assert select_recovery_pairs(problem.basis, deleted) == scan(problem.basis, deleted)
 
     def test_five_point_basis_covers_all_deletions(self):
         problem = get_problem("five_point")
         for deleted in range(10):
-            pairs = select_recovery_pairs(problem.basis, deleted, 3, 2)
-            assert set(pairs) == {0, 1}
-            for w, (j1, j2) in pairs.items():
+            pairs = select_recovery_pairs(problem.basis, deleted)
+            assert len(pairs) == 2
+            for w, (j1, j2) in enumerate(pairs):
                 diff = tuple(
                     a - b for a, b in zip(problem.basis[j1], problem.basis[j2])
                 )
@@ -655,8 +646,8 @@ class TestTemplates:
     @pytest.mark.parametrize(
         "pid, k, deletion, recovery",
         [
-            ("conic", 4, [0, 3], {0: (1, 2)}),
-            ("five_point", 10, [0, 9], {0: (4, 7), 1: (5, 8)}),
+            ("conic", 4, [0, 3], ((1, 2),)),
+            ("five_point", 10, [0, 9], ((4, 7), (5, 8))),
         ],
     )
     def test_golden_templates(self, pid, k, deletion, recovery):
@@ -668,9 +659,7 @@ class TestTemplates:
             template = build_template(problem, seed)
             obj = json.loads(template_to_json(template))
             assert (obj["k"], obj["deletion"]) == (k, deletion)
-            assert select_recovery_pairs(
-                problem.basis, template.deletion_pair[1], problem.n_vars, problem.hidden_index
-            ) == recovery
+            assert select_recovery_pairs(problem.basis, template.deletion_pair[1]) == recovery
 
     def test_json_holds_only_the_offline_decisions(self, conic_template):
         obj = json.loads(template_to_json(conic_template))
@@ -776,10 +765,7 @@ class TestSolutionCountOracles:
             hidden = roots(det_poly)
             values, _ = cramer_at(evaluate_at(stack, hidden), template.rules[0])
             for root, recovered in zip(hidden, values):
-                point = [0j] * problem.n_vars
-                point[problem.hidden_index] = root
-                for w, val in zip(template.recovered_columns, recovered):
-                    point[w] = val
+                point = [*recovered, root]
                 residual = np.max(np.abs(equation_oracles.values(pid, data, point)))
                 norm = np.linalg.norm(point)
                 assert residual / max(norm, 1.0) < 1e-6

@@ -199,6 +199,42 @@ class TestHiddenRoots:
         for raw in coefficients:
             assert np.abs(raw.imag).max() <= 1e-14 * np.abs(raw).max()
 
+    @staticmethod
+    def _hadamard(stack):
+        return np.prod(np.linalg.norm(np.abs(stack).sum(axis=0), axis=1))
+
+    @staticmethod
+    def _stacks():
+        rng = np.random.default_rng(13)
+        sparse = rng.standard_normal((4, 10, 10)) * (rng.random((4, 10, 10)) < 0.3)
+        sparse[0] += np.eye(10)  # no zero row
+        # equal magnitudes make H equal its cheap bound (sqrt(N) (d+1) max|A|)^N
+        signs = rng.choice([-0.5, 0.5], size=(3, 4, 4))
+        return [rng.standard_normal((3, 4, 4)), rng.standard_normal((4, 10, 10)), sparse, signs]
+
+    # just below, just above, and far from the floor on either side, so
+    # both the cheap bound and H decide some of the cases
+    FACTORS = (1e-30, 1e-3, 1 - 1e-6, 1 + 1e-6, 1e3, 1e30)
+
+    def test_vanishes_is_the_hadamard_floor(self):
+        for stack in self._stacks():
+            h = self._hadamard(stack)
+            for factor in self.FACTORS:
+                max_mag = factor * recover.VANISH_FLOOR * h
+                assert recover._vanishes(stack, max_mag) == (factor < 1), (stack.shape, factor)
+        assert recover._vanishes(np.zeros((3, 4, 4)), 0.0)
+
+    def test_vanishes_is_scale_free(self):
+        # H scales as s^N with the stack; compared as logarithms, no s
+        # overflows or underflows the test
+        for stack in self._stacks():
+            h, size = self._hadamard(stack), stack.shape[-1]
+            for shift in (-50, 50):
+                scaled = np.ldexp(stack, shift)
+                for factor in self.FACTORS:
+                    max_mag = np.ldexp(factor * recover.VANISH_FLOOR * h, shift * size)
+                    assert recover._vanishes(scaled, max_mag) == (factor < 1)
+
 
 class TestRecoverVariable:
     def test_known_solution(self, toy_template):
@@ -258,9 +294,9 @@ class TestBackSubstitution:
         # both roots, one variable, num + den; then v = 0 alone tries the
         # alternates (0, 2) (singular again: rows 1 and 2 stay) and (1, 0)
         assert shapes == [(2, 2, 2, 2), (1, 2, 2, 2), (1, 2, 2, 2)]
-        assert found[:, 0].tolist() == [0.0, 1.0]
-        assert found[0, 1] == pytest.approx(2.0, abs=1e-12)
-        assert found[1, 1] == pytest.approx(3.0, abs=1e-10)
+        assert found[:, 1].tolist() == [0.0, 1.0]
+        assert found[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert found[1, 0] == pytest.approx(3.0, abs=1e-10)
 
     def test_each_singular_root_takes_its_own_first_usable_rule(self, monkeypatch, toy_template):
         # both roots are singular under the template pair (0, 0).  At v = 0
@@ -270,7 +306,7 @@ class TestBackSubstitution:
         m0 = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
         m1 = np.array([[1.0, -1.0, -2.0], [2.0, 1.0, -10.0], [-2.0, -1.0, 10.0]])
         template = toy_template
-        first, second = ((0, 2), {1: (0, 1)}), ((1, 0), {1: (1, 2)})
+        first, second = ((0, 2), {0: (0, 1)}), ((1, 0), {0: (1, 2)})
         assert reference_online.rule_pairs(template)[1:3] == [first, second]
         shapes = self._spy_dets(monkeypatch)
         found, m_at_roots = self._back_substitute(
@@ -279,10 +315,10 @@ class TestBackSubstitution:
         # the primary, then the first alternate on both singular roots at
         # once, then the second on the one root still singular
         assert shapes == [(2, 2, 2, 2), (2, 2, 2, 2), (1, 2, 2, 2)]
-        assert found[:, 0].tolist() == [0.0, 1.0]
+        assert found[:, 1].tolist() == [0.0, 1.0]
         assert np.array_equal(m_at_roots, [m0, m1])
-        assert found[0, 1] == pytest.approx(_reference_ratios(m0, *first)[0], abs=1e-12)
-        assert found[1, 1] == pytest.approx(_reference_ratios(m1, *second)[0], abs=1e-12)
+        assert found[0, 0] == pytest.approx(_reference_ratios(m0, *first)[0], abs=1e-12)
+        assert found[1, 0] == pytest.approx(_reference_ratios(m1, *second)[0], abs=1e-12)
 
     def test_roots_singular_under_every_rule_are_discarded(self, monkeypatch, toy_template):
         # every 2x2 minor of the all-ones matrix vanishes, so both roots
@@ -308,7 +344,7 @@ class TestBackSubstitution:
         return calls
 
     def _three_var_candidates(self, template):
-        assert reference_online.template_pairs(template) == {1: (0, 2), 2: (1, 2)}
+        assert reference_online.template_pairs(template) == {0: (0, 2), 1: (1, 2)}
         coords, m_at_roots = self._back_substitute(np.eye(4)[None], template, np.array([0.5]))
         return coords, recover._residuals(m_at_roots, template, coords, (0, 1, 2, 3))
 
@@ -320,7 +356,7 @@ class TestBackSubstitution:
             (np.array([[2.0, 3.0]]), np.array([[False, False]])),
         )
         found, _ = self._three_var_candidates(toy3_template)
-        assert found.tolist() == [[0.5, 2.0, 3.0]]
+        assert found.tolist() == [[2.0, 3.0, 0.5]]
         assert np.array_equal(calls[0], toy3_template.rules[0]) and len(calls) == 2
 
     def test_singular_under_every_pair_is_discarded(self, monkeypatch, toy3_template):
@@ -459,7 +495,7 @@ class TestSolveOnline:
         return json.dumps({
             "problem": problem.problem_id,
             "n_vars": problem.n_vars,
-            "hidden": problem.hidden_index,
+            "hidden": problem.n_vars - 1,
             "N": n,
             "k": template.k,
             "r": problem.expected_solutions,
@@ -552,7 +588,7 @@ class TestSecondFrame:
         # identically: that frame raises SolveError and is skipped
         problem, template, data, _ = self._retried(*self.RETRIED[0])
         zero = np.zeros((len(five_point.MONOMIALS),) * 2)
-        with pytest.raises(SolveError, match="vanished identically"):
+        with pytest.raises(SolveError, match="vanishes to rounding"):
             recover._hidden_roots(problem.build(problem.original_equations(data) @ zero), template)
         self._with_frames(monkeypatch, ())
         first = solve_online(template, data)
