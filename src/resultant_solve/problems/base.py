@@ -18,8 +18,8 @@ def matrix_layout(monomials, rows, basis) -> np.ndarray:
     ``monomials`` is the (M, n) exponent table, over all n variables with
     the hidden one last, of an (m, M) equation coefficient array; ``rows``
     lists the matrix rows as (equation e, multiplier u) pairs and ``basis``
-    the column monomials, both as exponent tuples over the first n-1.  Row r is
-    equation e times u, so entry (l, r, c) indexes e's coefficient of
+    the column monomials, both as exponent tuples over the first n-1.
+    Row r is equation e times u, so entry (l, r, c) indexes e's coefficient of
     basis[c] / u times hidden^l in the flattened equations, or is -1 when
     e has no such monomial.  ``np.append(equations, 0)[layout]`` is then
     the stack, and -1 reads the appended zero.
@@ -63,11 +63,13 @@ class Problem:
 
     The hidden variable is the last of the ``n_vars`` unknowns, and
     ``basis`` lists the column monomials as exponent tuples over the
-    others, in order.  ``original_equations(data)`` writes the instance's equations
-    as their float64 (m, M) coefficient array over the problem module's
-    ``MONOMIALS`` table, and ``build(equations)`` turns that array into the
-    matrix polynomial's (d+1, N, N) coefficient stack, so the online stage
-    runs the data-dependent work (for ``five_point``, an SVD) once.
+    others, in order; ``n_vars`` is read from the basis.
+    ``original_equations(data)`` writes the instance's equations as their
+    float64 (m, M) coefficient array over the problem module's
+    ``MONOMIALS`` table, whose last column is the hidden exponent, and
+    ``build(equations)`` turns that array into the matrix polynomial's
+    (d+1, N, N) coefficient stack, so the online stage runs the
+    data-dependent work (for ``five_point``, an SVD) once.
     ``build`` gathers the stack through the ``matrix_layout`` of the
     module's ``ROWS``, (equation, multiplier) pairs, and is ring-agnostic:
     it keeps the dtype of its input.  ``modular_matrix(rng, p)`` returns a

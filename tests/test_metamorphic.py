@@ -22,11 +22,11 @@ Nehalem and Prescott, numpy 2.4.6 with OpenBLAS 0.3.31, Python 3.11):
 the comment next to each limit gives the spread, and the limit sits above
 the worst of them.  A later change may tighten a limit; it may loosen one
 only after measuring the unchanged solver above it on a new platform.
-The four tolerance relations (the ``conic`` swap of the two conics, the
-``conic`` pencil, the ``five_point`` permutation of the correspondences
-and the ``five_point`` swap of the two views) also require every instance
-to accept a solution, so a solver that rejects everything cannot pass
-them vacuously.
+The five tolerance relations (the ``conic`` swap of the two conics, the
+``conic`` pencil, the ``conic`` rotation of the plane, the ``five_point``
+permutation of the correspondences and the ``five_point`` swap of the two
+views) also require every instance to accept a solution, so a solver that
+rejects everything cannot pass them vacuously.
 
 Mutations the relations were checked against, each on a deliberately
 broken copy of the code:
@@ -50,7 +50,12 @@ broken copy of the code:
 - the matrix at the real roots rounded to float32 before Cramer (in
   ``_back_substitute``): the ``conic`` swap still passes, because it only
   permutes the matrix rows and so rounds the same entries, but the
-  ``conic`` pencil's median distance becomes 4.3e-7 and its worst 1.4e-4.
+  ``conic`` pencil's median distance becomes 4.3e-7 and its worst 1.4e-4;
+- a real-root filter that also drops hidden values with |z| >= 0.9: the
+  ``conic`` swap and pencil still pass, because both of their solves have
+  the same intersections and lose the same ones, but the ``conic``
+  rotation, which moves the intersections' y, counts 252 of 500
+  instances with different counts.
 
 Two relations are exact: scaling a conic, or a homogeneous image point,
 by a power of two changes no bit of the data after the constructors'
@@ -84,6 +89,12 @@ PENCIL_INSTANCES = 500
 PENCIL_MAX_MISMATCHES = 0  # measured 0 under every kernel
 PENCIL_MAX_MEDIAN_DISTANCE = 5e-13  # measured 1.4e-13 .. 1.7e-13
 PENCIL_MAX_DISTANCE = 1e-6  # measured 8.6e-8 .. 3.9e-7
+
+ROTATION_INSTANCES = 500
+ROTATION_ANGLE = 0.7
+ROTATION_MAX_MISMATCHES = 2  # measured 0 .. 1 (1 under Prescott)
+ROTATION_MAX_MEDIAN_DISTANCE = 1e-12  # measured 4.6e-13 .. 6.0e-13
+ROTATION_MAX_DISTANCE = 1e-3  # measured 7.2e-7 .. 5.0e-4
 
 FIVE_POINT_INSTANCES = 400
 FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
@@ -166,6 +177,28 @@ def test_conic_pencil(conic_template):
     assert mismatches <= PENCIL_MAX_MISMATCHES
     assert median <= PENCIL_MAX_MEDIAN_DISTANCE
     assert worst <= PENCIL_MAX_DISTANCE
+
+
+def _rotation_pairs(template, count):
+    # G = diag(R^T, 1): [q, 1] G^T C G [q, 1]^T = 0 exactly when R^T q lies
+    # on C, so the rotated pair meets in the points R p, mapped back by R^T
+    problem = get_problem("conic")
+    c, s = np.cos(ROTATION_ANGLE), np.sin(ROTATION_ANGLE)
+    g = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    for i in range(count):
+        data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+        rotated = ConicPairData(g.T @ data.c1 @ g, g.T @ data.c2 @ g)
+        back = [g[:2, :2] @ q for q in _accepted(template, rotated)]
+        yield _accepted(template, data), back
+
+
+def test_conic_rotation_of_the_plane(conic_template):
+    # the rotated matrix mixes x and y, so every entry of the Sylvester
+    # matrix changes, and the hidden values are new numbers
+    mismatches, median, worst = _compare(_rotation_pairs(conic_template, ROTATION_INSTANCES))
+    assert mismatches <= ROTATION_MAX_MISMATCHES
+    assert median <= ROTATION_MAX_MEDIAN_DISTANCE
+    assert worst <= ROTATION_MAX_DISTANCE
 
 
 def test_five_point_permuted_correspondences(five_point_template):
