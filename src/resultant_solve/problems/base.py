@@ -76,8 +76,8 @@ class Problem:
     random instance of the matrix over Z_p as a (d+1, N, N) stack of
     residues in [0, p), in ``int64``, by running ``build`` on equations
     drawn from random residues: ``conic`` builds from its residue
-    equations and reduces the stack mod p; ``five_point`` reduces its
-    exact intermediate Python-int forms mod p and finishes in ``int64``.
+    equations and reduces the stack mod p; ``five_point`` computes its
+    triple forms in ``int64`` residues mod p and scatters them in ``int64``.
     ``equation_rows`` names the matrix rows that are the original
     equations, those of ``ROWS`` whose multiplier is 1: row i of M(z)
     times the basis monomials v(x) is one equation, which is how the
@@ -85,7 +85,7 @@ class Problem:
     ``frames`` holds constant (P, T) pairs, T = ``substitution(MONOMIALS,
     P)``: ``equations @ T`` are the equations over u' for [x, 1] = P u', so
     a solution x' there is P [x', 1] up to scale here.  The online stage
-    re-solves in each frame an instance that has accepted nothing yet.
+    adds the next frame's candidates while none is within its threshold.
     """
 
     problem_id: str

@@ -19,15 +19,16 @@ names them in ``equation_rows``), so each candidate's residual is read
 from M(z) v(x) at its root, with no second pass over the equations.
 Candidates stay (R, n) and (R,) arrays through ranking, merging and the
 residual threshold; only the accepted ones become ``CandidateSolution``
-objects.  An instance that accepted nothing is solved again by the same
-steps in each of its problem's constant frames, from ``equations @ T``.  No
-step forms a matrix inverse or solves a linear system through one; every
-quantity is a ratio of determinants.
+objects.  While none is within the threshold, the next constant frame of
+the problem is solved from ``equations @ T``, and one selection ranks the
+candidates of every frame that ran.  No step forms a matrix inverse or
+solves a linear system through one; every quantity is a ratio of determinants.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,16 @@ class CandidateSolution:
 @dataclass(frozen=True)
 class SolutionSet:
     accepted: tuple
-    rejected_count: int
-    failed: bool
-    candidate_roots: int  # complex roots of the trimmed determinant polynomial
-    roots_found: int  # real candidate vectors that reached residual ranking
+    candidate_roots: int  # complex roots of every frame's trimmed det polynomial
+    roots_found: int  # real candidate vectors of every frame that reached ranking
+
+    @property
+    def failed(self) -> bool:
+        return not self.accepted
+
+    @property
+    def rejected_count(self) -> int:
+        return self.roots_found - len(self.accepted)
 
 
 def cramer_at(m_at_roots: np.ndarray, index: np.ndarray) -> tuple:
@@ -182,27 +189,21 @@ def _deduplicate(x: np.ndarray) -> list:
     return kept
 
 
-def _select(
-    coords: np.ndarray, residuals: np.ndarray, r: int, candidate_roots: int
-) -> SolutionSet:
-    """Rank, merge, threshold and cap the candidates into a SolutionSet.
+def _select(pool: list, r: int) -> SolutionSet:
+    """Rank, merge, threshold and cap ``pool``, one ``_candidates`` tuple per frame.
 
     Candidates are ordered by residual, ties broken by the coordinates in
     order; near-duplicates merge into the better one; at most ``r`` of
     those with residual <= RESIDUAL_FAIL_THRESHOLD are accepted.
     """
+    candidate_roots, coords, residuals = zip(*pool)
+    coords, residuals = np.concatenate(coords), np.concatenate(residuals)
     order = np.lexsort((*coords.T[::-1], residuals))
     coords, residuals = coords[order], residuals[order]
     kept = np.array(_deduplicate(coords), dtype=int)
     good = kept[residuals[kept] <= RESIDUAL_FAIL_THRESHOLD][:r]
     accepted = tuple(map(CandidateSolution, coords[good], residuals[good].tolist()))
-    return SolutionSet(
-        accepted=accepted,
-        rejected_count=len(coords) - len(accepted),
-        failed=not len(good),
-        candidate_roots=candidate_roots,
-        roots_found=len(coords),
-    )
+    return SolutionSet(accepted, sum(candidate_roots), len(coords))
 
 
 def _vanishes(stack: np.ndarray, max_mag: float) -> bool:
@@ -256,12 +257,12 @@ def _hidden_roots(stack: np.ndarray, template: SolverTemplate) -> tuple:
     return len(all_roots), real_candidates(all_roots)
 
 
-def _solve_frame(problem, template, stack, frame_stack, P) -> SolutionSet:
-    """Solve ``frame_stack``, the instance in the frame [x, 1] = P [x', 1].
+def _candidates(problem, template, stack, frame_stack, P) -> tuple:
+    """Unselected (candidate_roots, coords, residuals) in the frame [x, 1] = P [x', 1].
 
-    Each candidate x' maps back by c = P [x', 1] over its last entry and is
-    scored on the equation rows of the original ``stack``; ``P`` is None,
-    and nothing is mapped, when ``frame_stack`` is ``stack``.
+    Each candidate x' of ``frame_stack`` maps back by c = P [x', 1] over its
+    last entry and is scored on the equation rows of the original ``stack``;
+    ``P`` is None, and nothing is mapped, when ``frame_stack`` is ``stack``.
     """
     candidate_roots, hidden_values = _hidden_roots(frame_stack, template)
     coords, m_at_roots = _back_substitute(frame_stack, problem, template, hidden_values)
@@ -270,16 +271,16 @@ def _solve_frame(problem, template, stack, frame_stack, P) -> SolutionSet:
         coords = homogeneous[:, :-1] / homogeneous[:, -1:]
         m_at_roots = evaluate_at(stack, coords[:, -1])
     residuals = _residuals(m_at_roots, template, coords, problem.equation_rows)
-    return _select(coords, residuals, problem.expected_solutions, candidate_roots)
+    return candidate_roots, coords, residuals
 
 
 def solve_online(template: SolverTemplate, data) -> SolutionSet:
     """Run the full online stage for one instance.
 
-    While nothing is accepted, it is solved again in each of the problem's
-    ``frames``, and a frame that accepts a solution gives the result.  The
-    variables, the basis and the solution count r are the problem's; the
-    template adds k and the compiled Cramer rules of its deletion pair.
+    While no candidate is within RESIDUAL_FAIL_THRESHOLD, it is solved again
+    in the next of the problem's ``frames``, and one ``_select`` takes the
+    candidates of every frame that ran.  The variables, the basis and r are
+    the problem's; the template adds k and its compiled Cramer rules.
     """
     problem = get_problem(template.problem_id)
     try:
@@ -287,15 +288,13 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
         stack = problem.build(equations)
     except DegenerateDataError as exc:
         raise SolveError(f"degenerate instance: {exc}") from exc
-    result = _solve_frame(problem, template, stack, stack, None)
+    pool = [_candidates(problem, template, stack, stack, None)]
     for P, T in problem.frames:
-        if result.failed:
-            try:
-                retried = _solve_frame(problem, template, stack, problem.build(equations @ T), P)
-            except SolveError:
-                continue
-            result = result if retried.failed else retried
-    return result
+        if (pool[-1][2] <= RESIDUAL_FAIL_THRESHOLD).any():
+            break
+        with suppress(SolveError):  # a frame that raises is skipped
+            pool.append(_candidates(problem, template, stack, problem.build(equations @ T), P))
+    return _select(pool, problem.expected_solutions)
 
 
 def solution_set_to_json(result: SolutionSet) -> dict:

@@ -258,8 +258,6 @@ def solve_online(template: SolverTemplate, data) -> SolutionSet:
     accepted = tuple(good[: problem.expected_solutions])
     return SolutionSet(
         accepted=accepted,
-        rejected_count=len(candidates) - len(accepted),
-        failed=not good,
         candidate_roots=len(all_roots),
         roots_found=len(candidates),
     )

@@ -553,7 +553,8 @@ class TestSecondFrame:
         equations = problem.original_equations(data)
         stack = problem.build(equations)
         (P, T), = problem.frames
-        retried = recover._solve_frame(problem, template, stack, problem.build(equations @ T), P)
+        pool = [recover._candidates(problem, template, stack, problem.build(equations @ T), P)]
+        retried = recover._select(pool, problem.expected_solutions)
         for result in (retried, solve_online(template, data)):
             assert not result.failed
             assert min(np.max(np.abs(c.x - gts[0])) for c in result.accepted) < 1e-6

@@ -4,7 +4,8 @@
 templates compiled their Cramer rules.  Both run here on the same machine, so their
 results must agree bit for bit in every ``SolutionSet`` field, whatever
 LAPACK kernel numpy uses.  The one allowed difference is the second-frame
-retry: an instance whose first solve accepted nothing may now be solved.
+retry: an instance whose first solve accepted nothing may now be solved
+in a frame, and its counts then cover every frame that ran.
 
 Mutations of the array-based path it catches, each checked on a broken copy:
 ranking by residual alone (a stable sort without the coordinate
