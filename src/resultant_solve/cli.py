@@ -67,22 +67,17 @@ def _log10_residuals(residuals) -> np.ndarray:
     return np.log10(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
 
 
-def _run_trial(template, problem, seed: int, index: int) -> dict:
+def _run_trial(template, problem, seed: int, index: int) -> tuple | None:
+    """``(accepted residuals, solve time in us)``, or None when the solve raised SolveError."""
     rng = np.random.default_rng([seed, index])
     data, _ = problem.generate_instance(rng)
     start = time.perf_counter()
     try:
-        result = solve_online(template, data)
+        accepted = solve_online(template, data).accepted
     except SolveError:
-        return {"error": True, "time_us": (time.perf_counter() - start) * 1e6}
-    elapsed_us = (time.perf_counter() - start) * 1e6
-    return {
-        "error": False,
-        "failed": result.failed,
-        "residuals": [c.residual for c in result.accepted],
-        "roots": len(result.accepted),
-        "time_us": elapsed_us,
-    }
+        return None
+    time_us = (time.perf_counter() - start) * 1e6
+    return [c.residual for c in accepted], time_us
 
 
 def _run_chunk(problem_id: str, template, seed: int, indices: range) -> list:
@@ -131,48 +126,32 @@ def run_bench(
         for future in futures:
             records += future.result()
 
-    all_residuals: list = []
-    best_logs: list = []
-    times: list = []
-    roots: list = []
-    failures = 0
-    for rec in records:
-        if rec["error"]:
-            failures += 1
-            continue
-        times.append(rec["time_us"])
-        roots.append(rec["roots"])
-        if rec["failed"]:
-            failures += 1
-            continue
-        all_residuals.extend(rec["residuals"])
-        best_logs.append(float(_log10_residuals([min(rec["residuals"])])[0]))
+    solved = [rec for rec in records if rec is not None]
+    logs = _log10_residuals([r for res, _ in solved for r in res])
+    best_logs = _log10_residuals([min(res) for res, _ in solved if res])
 
-    logs = _log10_residuals(all_residuals) if all_residuals else np.array([])
+    def stat(reduce, values) -> float:
+        return float(reduce(values)) if len(values) else float("nan")
+
     report = BenchReport(
         problem_id=problem_id,
         trials=trials,
-        mean_log10_residual=float(np.mean(logs)) if logs.size else float("nan"),
-        median_log10_residual=float(np.median(logs)) if logs.size else float("nan"),
-        fail_percent=100.0 * failures / trials,
-        mean_time_us=float(np.mean(times)) if times else float("nan"),
-        mean_roots=float(np.mean(roots)) if roots else float("nan"),
-        best_mean_log10_residual=(
-            float(np.mean(best_logs)) if best_logs else float("nan")
-        ),
+        mean_log10_residual=stat(np.mean, logs),
+        median_log10_residual=stat(np.median, logs),
+        fail_percent=100.0 * (trials - len(best_logs)) / trials,
+        mean_time_us=stat(np.mean, [t for _, t in solved]),
+        mean_roots=stat(np.mean, [len(res) for res, _ in solved]),
+        best_mean_log10_residual=stat(np.mean, best_logs),
     )
-    clipped = np.clip(logs, HIST_RANGE[0], HIST_RANGE[1]) if logs.size else logs
-    counts, _ = np.histogram(clipped, bins=HIST_BINS, range=HIST_RANGE)
+    counts, _ = np.histogram(np.clip(logs, *HIST_RANGE), bins=HIST_BINS, range=HIST_RANGE)
     return report, counts
 
 
 def _write_histogram(path: str, counts: np.ndarray) -> None:
     edges = np.linspace(HIST_RANGE[0], HIST_RANGE[1], HIST_BINS + 1)
-    lines = ["bin_left,bin_right,count"]
-    for b in range(HIST_BINS):
-        lines.append(f"{edges[b]:.6g},{edges[b + 1]:.6g},{int(counts[b])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.column_stack([edges[:-1], edges[1:], counts])
+    np.savetxt(path, table, fmt=["%.6g", "%.6g", "%d"], delimiter=",",
+               header="bin_left,bin_right,count", comments="")
 
 
 def cmd_offline(args) -> int:

@@ -175,8 +175,6 @@ def _deduplicate(x: np.ndarray) -> list:
     Greedy in order: a row is dropped when it lies within DUPLICATE_TOL
     (relative to 1 + its largest entry) of a row already kept.
     """
-    if not len(x):
-        return []
     scale = 1.0 + np.abs(x).max(axis=1)
     close = np.abs(x[:, None] - x[None]).max(axis=-1) < DUPLICATE_TOL * scale[:, None]
     kept: list = []

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import math
 import multiprocessing
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -12,6 +15,7 @@ import pytest
 from resultant_solve import cli
 from resultant_solve.offline import TemplateError, template_to_json
 from resultant_solve.problems import get_problem
+from resultant_solve.recover import CandidateSolution, SolutionSet
 
 
 def _set_cpus(monkeypatch, count):
@@ -271,6 +275,54 @@ class TestBench:
         report2, counts2 = cli.run_bench(pid, 24, 5, 2)
         assert self._untimed(report1) == self._untimed(report2)
         assert np.array_equal(counts1, counts2)
+
+    @staticmethod
+    def _scripted_residuals(data):
+        """What a fake solve of ``data`` does: None raises, else the accepted residuals.
+
+        Keyed on the instance's bytes, not on a call count, so forked
+        workers script the same trials as the calling process.
+        """
+        key = int.from_bytes(hashlib.sha256(data.c1.tobytes()).digest()[:4], "little")
+        kind = key % 6
+        if kind == 0:
+            return None
+        return [10.0 ** -((key // 6 + 5 * j) % 16) for j in range(kind - 1)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_matches_a_direct_count(self, two_cpus, monkeypatch, jobs):
+        # every column but the time, recomputed from the scripted outcomes:
+        # a raised trial and a trial that accepts nothing both fail, and
+        # mean_roots averages over every trial that did not raise
+        def scripted(template, data):
+            residuals = self._scripted_residuals(data)
+            if residuals is None:
+                raise cli.SolveError("degenerate instance: test")
+            accepted = tuple(CandidateSolution(np.zeros(2), r) for r in residuals)
+            return SolutionSet(accepted, len(accepted), len(accepted))
+
+        monkeypatch.setattr(cli, "solve_online", scripted)
+        trials, seed = 60, 4
+        problem = get_problem("conic")
+        instances = [
+            problem.generate_instance(np.random.default_rng([seed, i]))[0] for i in range(trials)
+        ]
+        outcomes = [self._scripted_residuals(data) for data in instances]
+        raised = [o for o in outcomes if o is None]
+        empty = [o for o in outcomes if o == []]
+        solved = [o for o in outcomes if o is not None]
+        assert raised and empty and {len(o) for o in solved} == {0, 1, 2, 3, 4}
+        logs = [math.log10(r) for o in solved for r in o]
+        best = [math.log10(min(o)) for o in solved if o]
+
+        report, counts = cli.run_bench("conic", trials, seed, jobs)
+        assert report.trials == trials
+        assert report.fail_percent == pytest.approx(100 * (len(raised) + len(empty)) / trials)
+        assert report.mean_roots == pytest.approx(sum(map(len, solved)) / len(solved))
+        assert report.mean_log10_residual == pytest.approx(statistics.fmean(logs))
+        assert report.median_log10_residual == pytest.approx(statistics.median(logs))
+        assert report.best_mean_log10_residual == pytest.approx(statistics.fmean(best))
+        assert counts.sum() == len(logs)
 
     def test_worker_error_reaches_caller(self, two_cpus, monkeypatch):
         # raised only in the worker process (reached by fork, as above)

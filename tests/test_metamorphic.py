@@ -22,11 +22,12 @@ Nehalem and Prescott, numpy 2.4.6 with OpenBLAS 0.3.31, Python 3.11):
 the comment next to each limit gives the spread, and the limit sits above
 the worst of them.  A later change may tighten a limit; it may loosen one
 only after measuring the unchanged solver above it on a new platform.
-The five tolerance relations (the ``conic`` swap of the two conics, the
-``conic`` pencil, the ``conic`` rotation of the plane, the ``five_point``
-permutation of the correspondences and the ``five_point`` swap of the two
-views) also require every instance to accept a solution, so a solver that
-rejects everything cannot pass them vacuously.
+The seven tolerance relations (the ``conic`` swap of the two conics, the
+``conic`` pencil, the ``conic`` rotation and translation of the plane, the
+``conic`` scaling by non-powers of two, the ``five_point`` permutation of
+the correspondences and the ``five_point`` swap of the two views) also
+require every instance to accept a solution, so a solver that rejects
+everything cannot pass them vacuously.
 
 Mutations the relations were checked against, each on a deliberately
 broken copy of the code:
@@ -50,12 +51,22 @@ broken copy of the code:
 - the matrix at the real roots rounded to float32 before Cramer (in
   ``_back_substitute``): the ``conic`` swap still passes, because it only
   permutes the matrix rows and so rounds the same entries, but the
-  ``conic`` pencil's median distance becomes 4.3e-7 and its worst 1.4e-4;
+  ``conic`` pencil's median distance becomes 4.3e-7 and its worst 1.4e-4,
+  and the translation's median 2.5e-7 by (0.3, -0.2) and 2.9e-7 by
+  (0.5, 0.5).  The scaling by (3, 1/3) passes too (median 5e-15): its two
+  solves' matrices differ at rounding level, and float32 rounds them to
+  the same values;
 - a real-root filter that also drops hidden values with |z| >= 0.9: the
   ``conic`` swap and pencil still pass, because both of their solves have
   the same intersections and lose the same ones, but the ``conic``
   rotation, which moves the intersections' y, counts 252 of 500
-  instances with different counts.
+  instances with different counts.  So does the translation of the
+  plane: 225 of 500 by (0.3, -0.2) and 358 of 500 by (0.5, 0.5);
+- the determinant sampled on the circle of radius 8 instead of the unit
+  circle (the stack scaled by 8^l before the FFT, the coefficients by
+  8^-l after it): every ``conic`` relation fails; the scaling's median
+  distance becomes 2.8e-10 and its worst 4.8e-4, and the translation's
+  median 5.8e-10 and 7.5e-10.
 
 One relation turns a problem's frames off: ``five_point`` runs its frame
 only while the first one has no candidate to accept, so every solution
@@ -84,6 +95,7 @@ overflows.  Mutations they catch:
 import dataclasses
 
 import numpy as np
+import pytest
 
 import test_recover
 from resultant_solve.problems import PROBLEMS, get_problem
@@ -108,6 +120,17 @@ ROTATION_ANGLE = 0.7
 ROTATION_MAX_MISMATCHES = 2  # measured 0 .. 1 (1 under Prescott)
 ROTATION_MAX_MEDIAN_DISTANCE = 1e-12  # measured 4.6e-13 .. 6.0e-13
 ROTATION_MAX_DISTANCE = 1e-3  # measured 7.2e-7 .. 5.0e-4
+
+TRANSLATION_INSTANCES = 500
+TRANSLATIONS = ((0.3, -0.2), (0.5, 0.5))
+TRANSLATION_MAX_MISMATCHES = 0  # measured 0 under every kernel, both translations
+TRANSLATION_MAX_MEDIAN_DISTANCE = 1e-12  # measured 2.0e-13 .. 4.0e-13
+TRANSLATION_MAX_DISTANCE = 1.5e-6  # measured 3.9e-8 .. 7.1e-7
+
+RESCALE_INSTANCES = 500
+RESCALE_MAX_MISMATCHES = 0  # measured 0 under every kernel
+RESCALE_MAX_MEDIAN_DISTANCE = 5e-13  # measured 8.7e-14 .. 1.1e-13
+RESCALE_MAX_DISTANCE = 5e-7  # measured 9.2e-8 .. 1.4e-7
 
 FIVE_POINT_INSTANCES = 400
 FIVE_POINT_MAX_MISMATCHES = 8  # measured 4 .. 6
@@ -218,6 +241,44 @@ def test_conic_rotation_of_the_plane(conic_template):
     assert mismatches <= ROTATION_MAX_MISMATCHES
     assert median <= ROTATION_MAX_MEDIAN_DISTANCE
     assert worst <= ROTATION_MAX_DISTANCE
+
+
+@pytest.mark.parametrize("t", TRANSLATIONS)
+def test_conic_translation_of_the_plane(conic_template, t):
+    # G = [[1, 0, -tx], [0, 1, -ty], [0, 0, 1]] maps [q, 1] to [q - t, 1], so
+    # the translated pair meets in the points p + t, mapped back by -t; the
+    # hidden values move by ty and every x by tx
+    problem = get_problem("conic")
+    g = np.array([[1.0, 0.0, -t[0]], [0.0, 1.0, -t[1]], [0.0, 0.0, 1.0]])
+
+    def pairs():
+        for i in range(TRANSLATION_INSTANCES):
+            data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+            moved = ConicPairData(g.T @ data.c1 @ g, g.T @ data.c2 @ g)
+            back = [q - t for q in _accepted(conic_template, moved)]
+            yield _accepted(conic_template, data), back
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= TRANSLATION_MAX_MISMATCHES
+    assert median <= TRANSLATION_MAX_MEDIAN_DISTANCE
+    assert worst <= TRANSLATION_MAX_DISTANCE
+
+
+def test_conic_non_power_of_two_scaling(conic_template):
+    # (3 C1, C2 / 3) are the same conics; unlike a power of two, the factors
+    # change the normalized data at rounding level
+    problem = get_problem("conic")
+
+    def pairs():
+        for i in range(RESCALE_INSTANCES):
+            data, _ = problem.generate_instance(np.random.default_rng([SEED, i]))
+            rescaled = ConicPairData(3 * data.c1, data.c2 / 3)
+            yield _accepted(conic_template, data), _accepted(conic_template, rescaled)
+
+    mismatches, median, worst = _compare(pairs())
+    assert mismatches <= RESCALE_MAX_MISMATCHES
+    assert median <= RESCALE_MAX_MEDIAN_DISTANCE
+    assert worst <= RESCALE_MAX_DISTANCE
 
 
 def test_five_point_permuted_correspondences(five_point_template):
